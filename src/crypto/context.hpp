@@ -63,9 +63,8 @@ private:
 /// RAM, so its contents decide virtual CPU charging (first sight of a
 /// (signer, bytes, sig) triple pays the full asymmetric cost, repeats pay
 /// hash-only re-check cost) and its result short-circuits redundant
-/// certificate re-verification. It is only ever touched from the solo
-/// (event-loop) step, in deterministic order — never from pool threads —
-/// which is what keeps same-seed runs byte-identical at any thread count.
+/// certificate re-verification. It is only ever touched from the event
+/// loop, in deterministic order, so same-seed runs stay byte-identical.
 ///
 /// Layout: a fixed direct-mapped slot array (the table a constrained
 /// device would actually ship — bounded RAM, no allocation, one probe
@@ -144,9 +143,9 @@ public:
     /// PrePrepare re-validated during a view change — charges hash-only
     /// re-check cost, because a real node holding the memo would not redo
     /// the asymmetric operation. The memo is virtual state updated only
-    /// here (solo order), so outputs are deterministic at any host thread
-    /// count; whether the *host* skips the provider call on a hit is an
-    /// orthogonal, output-invisible optimization (see set_host_recheck).
+    /// here (event-loop order), so outputs are deterministic; whether the
+    /// *host* skips the provider call on a hit is an orthogonal,
+    /// output-invisible optimization (see set_host_recheck).
     bool verify(std::uint32_t signer, BytesView message, const Signature& sig) {
         ZC_PROF_SCOPE(kCryptoVerify);
         if (!directory_.known(signer)) {
@@ -168,8 +167,8 @@ public:
         bool ok;
         VerifyCache& cache = global_verify_cache();
         if (cache.lookup(key, ok)) {
-            // Pre-verified by the host pool's prologue (or another
-            // principal). Host-only shortcut; charging above is unchanged.
+            // Already verified by another principal. Host-only shortcut;
+            // charging above is unchanged.
             if (s_host_recheck) {
                 const bool again = provider_.verify(pub, message, sig);
                 assert(again == ok);

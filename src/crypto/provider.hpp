@@ -11,12 +11,9 @@
 //    switching providers changes host runtime, never simulated results.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -24,15 +21,6 @@
 #include "crypto/ed25519.hpp"
 
 namespace zc::crypto {
-
-/// One element of a batch verification: inputs by reference (the caller
-/// owns the buffers for the duration of the call), verdict written back.
-struct VerifyJob {
-    const PublicKey* pub = nullptr;
-    BytesView message{};
-    const Signature* sig = nullptr;
-    bool ok = false;
-};
 
 class CryptoProvider {
 public:
@@ -45,21 +33,7 @@ public:
     virtual Signature sign(const KeyPair& key, BytesView message) = 0;
 
     /// Verifies a signature against a public key.
-    ///
-    /// Thread-safety contract: verify() on a fully generated provider is
-    /// safe to call concurrently (it only reads immutable key material);
-    /// generate() must not overlap any other call. The host pool relies
-    /// on this to pre-verify signatures on worker threads.
     virtual bool verify(const PublicKey& pub, BytesView message, const Signature& sig) = 0;
-
-    /// Verifies a batch of independent jobs, writing each verdict into
-    /// `jobs[i].ok`. The default loops over verify(); providers with a
-    /// real batch primitive (e.g. Ed25519 batch verification) can
-    /// override for sub-linear cost per signature.
-    virtual void verify_batch(VerifyJob* jobs, std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i)
-            jobs[i].ok = verify(*jobs[i].pub, jobs[i].message, *jobs[i].sig);
-    }
 
     /// Human-readable provider name for experiment logs.
     virtual const char* name() const noexcept = 0;
@@ -94,32 +68,27 @@ private:
 /// calls versus distinct (key, message, signature) triples seen. The
 /// redundant-verification regression tests pin `calls() == unique()` on
 /// the memoized path — every triple hits the provider at most once.
-/// Thread-safe (the pool's prologue may verify through it).
 class CountingProvider final : public CryptoProvider {
 public:
     explicit CountingProvider(CryptoProvider& inner) : inner_(inner) {}
 
     KeyPair generate(Rng& rng) override { return inner_.generate(rng); }
     Signature sign(const KeyPair& key, BytesView message) override {
-        signs_.fetch_add(1, std::memory_order_relaxed);
+        ++signs_;
         return inner_.sign(key, message);
     }
     bool verify(const PublicKey& pub, BytesView message, const Signature& sig) override;
-    void verify_batch(VerifyJob* jobs, std::size_t count) override;
     const char* name() const noexcept override { return inner_.name(); }
 
-    std::uint64_t calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
-    std::uint64_t unique() const noexcept;
-    std::uint64_t signs() const noexcept { return signs_.load(std::memory_order_relaxed); }
+    std::uint64_t calls() const noexcept { return calls_; }
+    std::uint64_t unique() const noexcept { return seen_.size(); }
+    std::uint64_t signs() const noexcept { return signs_; }
     void reset();
 
 private:
-    void note(const PublicKey& pub, BytesView message, const Signature& sig);
-
     CryptoProvider& inner_;
-    std::atomic<std::uint64_t> calls_{0};
-    std::atomic<std::uint64_t> signs_{0};
-    mutable std::mutex mu_;
+    std::uint64_t calls_ = 0;
+    std::uint64_t signs_ = 0;
     std::unordered_set<Digest, DigestHash> seen_;
 };
 

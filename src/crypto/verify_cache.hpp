@@ -2,17 +2,17 @@
 //
 // The verification of a (public key, message, signature) triple is a pure
 // function: the same inputs always produce the same boolean, for both
-// providers. That makes its result safe to share across threads and across
-// principals — the host pool's prologue stage pre-verifies signatures on
-// worker threads and deposits the results here, and CryptoContext::verify
-// consults the cache before paying for a provider call.
+// providers. That makes its result safe to share across principals: when
+// one node of a consist has verified a triple, CryptoContext::verify on
+// the other nodes finds the verdict here instead of paying for another
+// provider call.
 //
 // The cache is HOST-ONLY state: it decides whether the host re-runs the
 // provider, never what the simulation observes. Virtual CPU charging is
 // decided exclusively by the per-node VerifyMemo in CryptoContext, which
-// is maintained in solo (event-loop) order — so same-seed runs produce
+// is maintained in event-loop order — so same-seed runs produce
 // byte-identical virtual output whether this cache is empty, warm, or
-// disabled, and regardless of how many pool threads race to fill it.
+// disabled.
 //
 // Keys are a fast 256-bit mixing hash over (provider-name, pubkey, sig,
 // message) with per-field length separators: content-addressed, so
@@ -44,8 +44,7 @@ namespace zc::crypto {
 Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesView message,
                         const Signature& sig) noexcept;
 
-/// Thread-safe bounded map Digest -> bool. Sharded by key prefix so the
-/// pool's workers and the solo thread rarely contend on one mutex; each
+/// Thread-safe bounded map Digest -> bool, sharded by key prefix; each
 /// shard is a fixed direct-mapped slot array (no allocation on the hot
 /// path, one probe per operation — this sits on every verification the
 /// simulator performs). A colliding key simply replaces the occupant:
@@ -105,8 +104,7 @@ private:
     std::atomic<std::uint64_t> inserts_{0};
 };
 
-/// The process-global instance shared by every CryptoContext and the host
-/// pool's prologue workers.
+/// The process-global instance shared by every CryptoContext.
 VerifyCache& global_verify_cache() noexcept;
 
 }  // namespace zc::crypto

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "hostpool/hostpool.hpp"
 #include "prof/prof.hpp"
 #include "runtime/validate.hpp"
 
@@ -21,7 +20,7 @@ Fleet::Fleet(FleetConfig config)
     build();
 }
 
-Fleet::~Fleet() { hostpool::drain_active(); }
+Fleet::~Fleet() = default;
 
 void Fleet::build() {
     ZC_PROF_SCOPE(kSetup);

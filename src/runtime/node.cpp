@@ -2,7 +2,6 @@
 
 #include "common/log.hpp"
 #include "crypto/sha256.hpp"
-#include "hostpool/hostpool.hpp"
 #include "zugchain/wire.hpp"
 
 namespace zc::runtime {
@@ -274,7 +273,7 @@ void Node::crash() noexcept {
     // A power loss takes the run queue with it: queued protocol jobs are
     // dropped and their buffered bytes leave the rx accounting. In-flight
     // network messages get dropped (and counted) at the receiver NIC.
-    executor_->clear_queue();  // drops solo jobs; their pool tasks expire unclaimed
+    executor_->clear_queue();
     rx_gauge_->set(0);
     network_.set_endpoint_down(options_.id, true);
     // Power loss wipes the RAM verified-signature memo: after restart the
@@ -462,65 +461,34 @@ void Node::deliver(net::EndpointId from, Bytes message) {
     if (!alive_) return;
     const std::size_t size = message.size();
     rx_gauge_->add(static_cast<std::int64_t>(size));
-    // Prologue: decode + speculative signature verification are pure
-    // functions of the bytes and the (immutable) key directory, so they
-    // may run on the host pool ahead of time. The solo job below claims
-    // the result at exactly the point the old code decoded inline, and
-    // all charging/filtering still happens there — so outputs are
-    // byte-identical at any thread count.
-    //
-    // With no active pool there is nothing to overlap with, so skip the
-    // Job plumbing entirely and decode inside the solo job — one decode,
-    // one verification (in CryptoContext), zero extra allocations. A
-    // prologue that the pool hands back inline (steal-back, overflow)
-    // likewise skips the speculative pre-verification: run_prologue only
-    // speculates when on_worker_thread().
-    if (hostpool::HostPool::active() == nullptr) {
-        const bool direct = executor_->submit([this, from, msg = std::move(message), size] {
-            rx_gauge_->add(-static_cast<std::int64_t>(size));
-            crypto_->charge(costs_.handle(size));
-            const hostpool::DecodedMessage decoded =
-                hostpool::decode_prologue(BytesView{msg.data(), msg.size()});
-            if (decoded.envelope_ok) dispatch(from, decoded);
-            return meter_.take();
-        });
-        if (!direct) rx_gauge_->add(-static_cast<std::int64_t>(size));
-        return;
-    }
-    auto job = hostpool::HostPool::submit_active<hostpool::DecodedMessage>(
-        [msg = std::move(message), directory = &crypto_->directory(),
-         provider = &crypto_->provider()] {
-            return hostpool::run_prologue(BytesView{msg.data(), msg.size()}, *directory,
-                                          *provider, hostpool::HostPool::on_worker_thread());
-        });
-    const bool accepted =
-        executor_->submit([this, from, job = std::move(job), size]() mutable {
-            rx_gauge_->add(-static_cast<std::int64_t>(size));
-            crypto_->charge(costs_.handle(size));
-            const hostpool::DecodedMessage decoded = job.claim();
-            if (decoded.envelope_ok) dispatch(from, decoded);
-            return meter_.take();
-        });
+    const bool accepted = executor_->submit([this, from, msg = std::move(message), size] {
+        rx_gauge_->add(-static_cast<std::int64_t>(size));
+        crypto_->charge(costs_.handle(size));
+        dispatch(from, BytesView{msg.data(), msg.size()});
+        return meter_.take();
+    });
     if (!accepted) rx_gauge_->add(-static_cast<std::int64_t>(size));
 }
 
-void Node::dispatch(net::EndpointId from, const hostpool::DecodedMessage& decoded) {
-    switch (decoded.channel) {
+void Node::dispatch(net::EndpointId from, BytesView raw) {
+    const auto envelope = decode_envelope(raw);
+    if (!envelope) return;  // undecodable bytes are dropped
+    switch (envelope->channel) {
         case Channel::kPbft: {
             if (from >= options_.n) return;
-            if (decoded.pbft) replica_->on_message(static_cast<NodeId>(from), *decoded.pbft);
+            const auto m = pbft::decode_message(envelope->body);
+            if (m) replica_->on_message(static_cast<NodeId>(from), *m);
             break;
         }
         case Channel::kLayer: {
             if (from >= options_.n || options_.mode != Mode::kZugChain) return;
-            if (decoded.peer) {
-                layer_->on_peer_request(static_cast<NodeId>(from), decoded.peer->request,
-                                        decoded.peer->forwarded);
-            }
+            const auto m = zugchain::decode_peer_request(envelope->body);
+            if (m) layer_->on_peer_request(static_cast<NodeId>(from), m->request, m->forwarded);
             break;
         }
         case Channel::kExport: {
-            if (decoded.exp) export_server_->on_message(*decoded.exp);
+            const auto m = exporter::decode_export_message(envelope->body);
+            if (m) export_server_->on_message(*m);
             break;
         }
     }

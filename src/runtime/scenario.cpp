@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "hostpool/hostpool.hpp"
 #include "prof/prof.hpp"
 #include "runtime/validate.hpp"
 
@@ -89,9 +88,7 @@ Scenario::Scenario(ScenarioConfig config)
     build();
 }
 
-// Drain the host pool before members (shard, key directory, provider)
-// die: a worker may still hold a prologue referencing them.
-Scenario::~Scenario() { hostpool::drain_active(); }
+Scenario::~Scenario() = default;
 
 void Scenario::build() {
     // Host-cost accounting: the process-wide profiler (if any) drives the

@@ -1,7 +1,6 @@
 #include "runtime/train_shard.hpp"
 
 #include "common/log.hpp"
-#include "hostpool/hostpool.hpp"
 #include "crypto/sha256.hpp"
 #include "export/data_center.hpp"
 #include "export/messages.hpp"
@@ -25,9 +24,7 @@ TrainShard::TrainShard(const ScenarioConfig& config, ShardEnv env)
     build();
 }
 
-// Prologues in flight on the host pool reference this shard's key
-// directory; wait them out before it is destroyed.
-TrainShard::~TrainShard() { hostpool::drain_active(); }
+TrainShard::~TrainShard() = default;
 
 void TrainShard::build() {
     ZC_PROF_SCOPE(kSetup);

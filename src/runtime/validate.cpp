@@ -34,6 +34,21 @@ struct DownInterval {
 }  // namespace
 
 std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
+    // Per-node maps keyed by an id >= n would be silently ignored.
+    const auto check_ids = [&cfg](const char* what,
+                                  const auto& per_node) -> std::optional<std::string> {
+        for (const auto& entry : per_node) {
+            if (entry.first >= cfg.n) {
+                return std::string(what) + " entry names node " + std::to_string(entry.first) +
+                       " but n=" + std::to_string(cfg.n);
+            }
+        }
+        return std::nullopt;
+    };
+    if (auto err = check_ids("byzantine", cfg.byzantine)) return err;
+    if (auto err = check_ids("cpu_profiles", cfg.cpu_profiles)) return err;
+    if (auto err = check_ids("tap_faults", cfg.tap_faults)) return err;
+
     // Resolve each crash to a down interval, pairing fail-stop crashes
     // with the earliest later explicit restart of the same node.
     std::vector<std::pair<Duration, NodeId>> restarts = cfg.restart_schedule;

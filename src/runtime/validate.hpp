@@ -27,7 +27,8 @@ struct ScenarioConfig;
 
 /// Returns std::nullopt when the schedules are safe, otherwise a
 /// human-readable description of the first violation found:
-///   * a crash or flap naming a node id >= n,
+///   * a crash, flap, byzantine, cpu_profiles or tap_faults entry naming
+///     a node id >= n,
 ///   * a node crashed while already down (overlapping crash intervals),
 ///   * more than f nodes down concurrently (fail-stop crashes count as
 ///     down until an explicit restart, or forever),

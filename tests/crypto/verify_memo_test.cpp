@@ -103,8 +103,8 @@ TEST_F(VerifyMemoTest, CrossPrincipalCacheSkipsProviderButChargesEachFull) {
 
 TEST_F(VerifyMemoTest, ChargingIdenticalWithCacheDisabledOrRecheckOn) {
     // Run the same verify sequence under three host configurations; the
-    // charged durations and results must be bit-identical (satellite:
-    // memoized/batched verify is charged once, host knobs are invisible).
+    // charged durations and results must be bit-identical (a memoized
+    // verify is charged once, host knobs are invisible).
     auto run_sequence = [&](CryptoContext& ctx) {
         std::vector<Duration> charges;
         std::vector<bool> results;
@@ -224,16 +224,11 @@ TEST(CountingProvider, CountsCallsSignsAndUniqueTriples) {
     EXPECT_EQ(counting.calls(), 2u);
     EXPECT_EQ(counting.unique(), 1u) << "same triple twice is one unique verification";
 
-    VerifyJob jobs[2];
     Signature bad = sig;
     bad.v[0] ^= 1;
-    jobs[0] = VerifyJob{&key.pub, BytesView{msg}, &sig, false};
-    jobs[1] = VerifyJob{&key.pub, BytesView{msg}, &bad, false};
-    counting.verify_batch(jobs, 2);
-    EXPECT_TRUE(jobs[0].ok);
-    EXPECT_FALSE(jobs[1].ok);
-    EXPECT_EQ(counting.calls(), 4u);
-    EXPECT_EQ(counting.unique(), 2u);
+    EXPECT_FALSE(counting.verify(key.pub, BytesView{msg}, bad));
+    EXPECT_EQ(counting.calls(), 3u);
+    EXPECT_EQ(counting.unique(), 2u) << "a tampered signature is a distinct triple";
 
     counting.reset();
     EXPECT_EQ(counting.calls(), 0u);

@@ -143,17 +143,23 @@ TEST(AdversaryScenario, SameSeedSameResultUnderAttack) {
             Height heads[4];
             std::uint64_t attempts;
             std::uint64_t rejected;
+            std::uint64_t invalid;
             std::string audit_json;
         } r;
         for (int i = 0; i < 4; ++i) r.heads[i] = s.node(i).store().head_height();
         r.attempts = s.node(0).adversary()->stats().attempts();
         r.rejected = s.state_transfer_rejected();
+        // Messages the correct replicas refused (tampered signatures).
+        r.invalid = 0;
+        for (int i = 1; i < 4; ++i) r.invalid += s.node(i).replica().stats().invalid_messages;
         r.audit_json = auditor.report().json();
         return std::make_tuple(std::vector<Height>(r.heads, r.heads + 4), r.attempts,
-                               r.rejected, r.audit_json);
+                               r.rejected, r.invalid, r.audit_json);
     };
-    EXPECT_EQ(run_once(42), run_once(42));
-    EXPECT_NE(std::get<1>(run_once(42)), 0u);
+    const auto first = run_once(42);
+    EXPECT_EQ(first, run_once(42));
+    EXPECT_NE(std::get<1>(first), 0u);
+    EXPECT_NE(std::get<3>(first), 0u) << "tampered signatures must be rejected";
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Up-front chaos-schedule validation (runtime/validate.hpp): a schedule
 // that cannot mean what it says — more than f concurrent crashes,
 // flapping a link of a node that is down, overlapping windows of the
-// same link — must be rejected with a clear message before the run
-// starts, not die on a mid-run assert.
+// same link, a per-node entry naming a node that does not exist — must
+// be rejected with a clear message before the run starts, not die on a
+// mid-run assert or be silently ignored.
 #include <gtest/gtest.h>
 
 #include "runtime/scenario.hpp"
@@ -57,6 +58,36 @@ TEST(ChaosValidation, RejectsCrashOfUnknownNode) {
     cfg.crash_schedule = {{seconds(5), 9, seconds(3)}};
     const auto err = validate_scenario_faults(cfg);
     EXPECT_TRUE(mentions(err, "n=4")) << err.value_or("(none)");
+}
+
+TEST(ChaosValidation, RejectsPerNodeEntriesOfUnknownNode) {
+    {
+        ScenarioConfig cfg = base_config();
+        cfg.byzantine[9].mute = true;
+        const auto err = validate_scenario_faults(cfg);
+        EXPECT_TRUE(mentions(err, "byzantine entry names node 9 but n=4"))
+            << err.value_or("(none)");
+    }
+    {
+        ScenarioConfig cfg = base_config();
+        cfg.cpu_profiles[4] = 2.0;  // ids are 0-based: 4 is one past the last node
+        const auto err = validate_scenario_faults(cfg);
+        EXPECT_TRUE(mentions(err, "cpu_profiles entry names node 4")) << err.value_or("(none)");
+    }
+    {
+        ScenarioConfig cfg = base_config();
+        cfg.tap_faults[7] = bus::TapFaults{0.1, 0.0, 0.0, 0.0};
+        const auto err = validate_scenario_faults(cfg);
+        EXPECT_TRUE(mentions(err, "tap_faults entry names node 7")) << err.value_or("(none)");
+    }
+    {
+        // In range, all three are accepted.
+        ScenarioConfig cfg = base_config();
+        cfg.byzantine[3].mute = true;
+        cfg.cpu_profiles[3] = 2.0;
+        cfg.tap_faults[3] = bus::TapFaults{0.1, 0.0, 0.0, 0.0};
+        EXPECT_EQ(validate_scenario_faults(cfg), std::nullopt);
+    }
 }
 
 TEST(ChaosValidation, RejectsCrashWhileAlreadyDown) {

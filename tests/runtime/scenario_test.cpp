@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "crypto/context.hpp"
+#include "crypto/verify_cache.hpp"
 #include "runtime/scenario.hpp"
 
 namespace zc::runtime {
@@ -44,8 +48,15 @@ ScenarioConfig base_config() {
 TEST(ScenarioZugChain, NormalOperationLogsAndChains) {
     ScenarioConfig cfg = base_config();
     Scenario s(cfg);
+    // Bytes that do not decode as an envelope are dropped by the node:
+    // they never reach its replica and logging carries on.
+    const Bytes garbage = {0xDE, 0xAD, 0xBE, 0xEF};
+    for (int k = 1; k <= 10; ++k) {
+        s.sim().schedule(seconds(2 * k), [&s, garbage] { s.network().send(1, 0, garbage); });
+    }
     s.run();
     const ScenarioReport r = s.report();
+    EXPECT_EQ(s.node(0).replica().stats().invalid_messages, 0u);
 
     // ~15.6 telegrams/s for 20 s of measurement, one unique record each.
     EXPECT_GT(r.logged_unique, 250u);
@@ -294,6 +305,37 @@ TEST(ScenarioDeterminism, SameSeedSameResult) {
     b.run();
     EXPECT_EQ(a.node(0).store().head_hash(), b.node(0).store().head_hash());
     EXPECT_EQ(a.report().total_bytes, b.report().total_bytes);
+}
+
+// The simulator runs every node on one host thread, so the host-side
+// settings left to vary are the verify shortcuts: re-running the
+// provider on every memo/cache hit, or disabling the process-global
+// VerifyCache, must leave a single consist's outputs byte-identical.
+TEST(ThreadsDeterminism, SingleConsistIdenticalAcrossThreadCounts) {
+    auto run_once = [] {
+        ScenarioConfig cfg;
+        cfg.warmup = seconds(1);
+        cfg.duration = seconds(8);
+        cfg.payload_size = 256;
+        cfg.seed = 4242;
+        cfg.default_tap_faults = {};
+        Scenario s(cfg);
+        s.run();
+        const ScenarioReport r = s.report();
+        return std::make_tuple(s.node(0).store().head_hash(), r.total_bytes, r.logged_unique,
+                               r.blocks, r.duplicates_decided);
+    };
+    const auto baseline = run_once();
+    EXPECT_GT(std::get<2>(baseline), 0u);
+    EXPECT_EQ(run_once(), baseline) << "same seed";
+
+    crypto::CryptoContext::set_host_recheck(true);
+    EXPECT_EQ(run_once(), baseline) << "recheck on";
+    crypto::CryptoContext::set_host_recheck(false);
+
+    crypto::global_verify_cache().set_enabled(false);
+    EXPECT_EQ(run_once(), baseline) << "verify cache off";
+    crypto::global_verify_cache().set_enabled(true);
 }
 
 TEST(ScenarioDeterminism, SameSeedSameResultWithBatching) {

@@ -29,13 +29,6 @@
 // config row the baseline has (renamed rows otherwise just vanish from
 // the comparison).
 //
-// --require-speedup F flips the host gate around: the fresh file must
-// IMPROVE on the baseline's sim_rate by at least factor F (one-sided;
-// fresh >= F * base). This is how CI proves the host pool pays off —
-// run the same bench at --threads 1 as "baseline" and --threads N as
-// "fresh" and require F <= 1 to catch the pool making things slower, or
-// F > 1 to demand a real speedup. Both files must run at equal depth.
-//
 // Exit codes: 0 all within tolerance, 1 regression (or missing row with
 // --require-rows), 2 usage / unreadable / malformed input.
 #include <cctype>
@@ -238,7 +231,6 @@ bool is_count_metric(const std::string& name) {
 struct Options {
     double tol_default = 0.25;
     double wall_tol = 2.0;
-    double require_speedup = 0.0;  ///< 0 = off; else fresh sim_rate >= F * base
     bool require_rows = false;
     std::map<std::string, double> tol_by_metric;
 
@@ -379,36 +371,6 @@ bool diff_files(const char* base_path, const char* fresh_path, const Options& op
         }
     }
 
-    // Speedup gate: the fresh run must beat the baseline's sim_rate by
-    // the demanded factor. Unlike the regression gate above this is the
-    // whole point of a threads-sweep comparison, so a missing host block
-    // or depth mismatch is an error, not a skip.
-    if (opt.require_speedup > 0.0) {
-        if (!same_depth) {
-            std::printf("FAIL %s --require-speedup: depth mismatch vs %s (quick flags differ)\n",
-                        fresh_path, base_path);
-            ++stats.failed;
-            return false;
-        }
-        const JValue* bhost = base.find("host");
-        const JValue* fhost = fresh.find("host");
-        const JValue* brate = bhost != nullptr ? bhost->find("sim_rate") : nullptr;
-        const JValue* frate = fhost != nullptr ? fhost->find("sim_rate") : nullptr;
-        if (brate == nullptr || frate == nullptr) {
-            std::printf("FAIL %s --require-speedup: missing host.sim_rate\n", fresh_path);
-            ++stats.failed;
-            return false;
-        }
-        ++stats.compared;
-        if (frate->number < brate->number * opt.require_speedup) {
-            std::printf("FAIL %s host sim_rate: %.2fx vs baseline %.2fx (need >= %.2fx = %.2f)\n",
-                        fresh_path, frate->number, brate->number, opt.require_speedup,
-                        brate->number * opt.require_speedup);
-            ++stats.failed;
-            ok = false;
-        }
-    }
-
     return ok;
 }
 
@@ -417,7 +379,7 @@ void usage(const char* argv0) {
                  "usage: %s BASELINE.json FRESH.json [options]\n"
                  "       %s --baseline-dir DIR FRESH.json... [options]\n"
                  "options: [--tol-default F] [--tol NAME=F]... [--wall-tol F]\n"
-                 "         [--require-rows] [--require-speedup F]\n",
+                 "         [--require-rows]\n",
                  argv0, argv0);
     std::exit(2);
 }
@@ -460,8 +422,6 @@ int main(int argc, char** argv) {
             opt.wall_tol = std::atof(need_value(i));
         } else if (flag == "--require-rows") {
             opt.require_rows = true;
-        } else if (flag == "--require-speedup") {
-            opt.require_speedup = std::atof(need_value(i));
         } else if (flag.size() >= 2 && flag[0] == '-' && flag[1] == '-') {
             std::fprintf(stderr, "%s: unknown flag: %s\n", argv[0], flag.c_str());
             usage(argv[0]);

@@ -60,7 +60,8 @@
 //   zugchain_sim --fleet 4 --soak 48 --journey 7 --cycle-ms 1024 \
 //                --payload 256   # two simulated days, fleet of four
 //
-// Exit codes: 0 ok, 1 chains inconsistent, 2 usage, 3 health alarm
+// Exit codes: 0 ok, 1 chains inconsistent, 2 usage or invalid
+// configuration (e.g. a fault schedule naming a node >= n), 3 health alarm
 // (with --fail-on-alarm; an alarm that fired and cleared — e.g. a crash
 // followed by a successful rejoin — does not fail the run; in soak mode
 // an alarm still latched at end of horizon), 4 safety violations
@@ -79,11 +80,14 @@
 // "mixed" is one of each. Adaptive RTT-tracking timeouts are on by
 // default; --fixed-timeouts restores the paper's fixed schedule —
 // the pairing that makes gray failures bite.
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,7 +101,6 @@
 #include "health/monitor.hpp"
 #include "health/timeseries.hpp"
 #include "prof/prof.hpp"
-#include "hostpool/hostpool.hpp"
 #include "runtime/scenario.hpp"
 #include "trace/trace.hpp"
 
@@ -128,11 +131,6 @@ struct Args {
     /// mixed, compiled by fleet::compile_gray onto the fault schedules.
     std::string gray;
     double gray_limp = 0.0;  // 0 = profile default
-
-    /// Host threads for the prologue pool (including the solo thread);
-    /// flag beats ZC_HOST_THREADS beats 1. Same-seed outputs are
-    /// byte-identical for any value — CI cmp's --threads 1 vs 8.
-    int threads = 0;  // 0 = not set on the command line
 
     // Fleet mode (--fleet N > 0 switches from the single-consist scenario
     // to the src/fleet orchestrator).
@@ -165,7 +163,6 @@ struct Args {
                      "          [--gray-limp FACTOR] [--fixed-timeouts]\n"
                      "          [--store-dir DIR] [--crypto fast|ed25519]\n"
                      "          [--trace FILE] [--metrics FILE] [--json] [--prof]\n"
-                     "          [--threads N]\n"
                      "          [--health FILE] [--timeseries FILE] [--fail-on-alarm]\n"
                      "          [--fleet N] [--fleet-dcs N] [--fleet-chaos]\n"
                      "          [--export-period-s S] [--trains-per-cell N]\n"
@@ -199,6 +196,18 @@ struct Args {
                 start = colon + 1;
             }
             return parts;
+        };
+        // Node ids are plain decimal numbers; atoi would read "x" as 0.
+        auto parse_node = [&](const std::string& text, const char* flag) {
+            const bool digits =
+                !text.empty() && text.size() <= 9 &&
+                std::all_of(text.begin(), text.end(),
+                            [](unsigned char c) { return std::isdigit(c) != 0; });
+            if (!digits) {
+                std::fprintf(stderr, "%s: %s: bad node id '%s'\n", argv[0], flag, text.c_str());
+                usage(argv[0]);
+            }
+            return static_cast<NodeId>(std::stoul(text));
         };
         for (int i = 1; i < argc; ++i) {
             const std::string flag = argv[i];
@@ -247,7 +256,7 @@ struct Args {
                 }
                 runtime::ScenarioConfig::CrashEntry entry;
                 entry.at = millis_f(std::atof(parts[0].c_str()) * 1000.0);
-                entry.node = static_cast<NodeId>(std::atoi(parts[1].c_str()));
+                entry.node = parse_node(parts[1], "--crash");
                 if (parts.size() == 3) {
                     entry.restart_after = millis_f(std::atof(parts[2].c_str()) * 1000.0);
                 }
@@ -266,14 +275,14 @@ struct Args {
                     flap.link = runtime::ScenarioConfig::LinkFlap::Link::kLte;
                 } else if (parts[2].rfind("node", 0) == 0 && parts[2].size() > 4) {
                     flap.link = runtime::ScenarioConfig::LinkFlap::Link::kNode;
-                    flap.node = static_cast<NodeId>(std::atoi(parts[2].c_str() + 4));
+                    flap.node = parse_node(parts[2].substr(4), "--flap");
                 } else {
                     std::fprintf(stderr, "%s: --flap link must be lte or node<id>\n", argv[0]);
                     usage(argv[0]);
                 }
                 args.cfg.link_flaps.push_back(flap);
             } else if (flag == "--fabricator") {
-                args.fabricator = std::atoi(need_value(i));
+                args.fabricator = static_cast<int>(parse_node(need_value(i), "--fabricator"));
             } else if (flag == "--adversary") {
                 // PROFILE:NODE, e.g. equivocator:1. Repeatable.
                 const auto parts = split_spec(need_value(i));
@@ -291,7 +300,7 @@ struct Args {
                     std::fprintf(stderr, ")\n");
                     usage(argv[0]);
                 }
-                args.cfg.byzantine[static_cast<NodeId>(std::atoi(parts[1].c_str()))] = *profile;
+                args.cfg.byzantine[parse_node(parts[1], "--adversary")] = *profile;
             } else if (flag == "--audit") {
                 args.audit = true;
             } else if (flag == "--audit-liveness") {
@@ -354,12 +363,6 @@ struct Args {
                 args.json = true;
             } else if (flag == "--prof") {
                 args.prof = true;
-            } else if (flag == "--threads") {
-                args.threads = std::atoi(need_value(i));
-                if (args.threads < 1 || args.threads > 64) {
-                    std::fprintf(stderr, "%s: --threads must be in [1, 64]\n", argv[0]);
-                    usage(argv[0]);
-                }
             } else {
                 std::fprintf(stderr, "%s: unknown flag: %s\n", argv[0], flag.c_str());
                 usage(argv[0]);
@@ -426,14 +429,6 @@ void write_text_file(const std::string& path, const std::string& content) {
         std::exit(1);
     }
     out.write(content.data(), static_cast<std::streamsize>(content.size()));
-}
-
-/// Folds worker-side pool time into the active profiler's pool_run
-/// bucket so snapshots include it (no-op without --prof or a pool).
-void flush_pool_prof() {
-    prof::Profiler* p = prof::Profiler::active();
-    hostpool::HostPool* pool = hostpool::HostPool::active();
-    if (p != nullptr && pool != nullptr) pool->flush_prof(*p);
 }
 
 /// Soak mode: simulated days in segments, invariants re-checked at every
@@ -523,7 +518,6 @@ int run_fleet(const Args& args) {
 
     fleet::Fleet fleet(cfg);
     fleet.run();
-    flush_pool_prof();
     const prof::Profiler* profiler = prof::Profiler::active();
     const fleet::FleetReport report = fleet.report();
 
@@ -671,23 +665,11 @@ void print_json_report(const Args& args, const runtime::ScenarioReport& r, bool 
     std::printf("}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-    Args args = Args::parse(argc, argv);
-
+int run(Args args) {
     // Host-cost profiler: must be active before the scenario/fleet is
     // built so construction (kSetup) and the sim run loops are attributed.
     prof::Profiler profiler;
     if (args.prof) prof::Profiler::set_active(&profiler);
-
-    // Host prologue pool: created before any scenario so every shard's
-    // deliveries fan their decode/verify prologues onto it. Outputs are
-    // byte-identical for any thread count (see src/hostpool).
-    const int threads =
-        args.threads > 0 ? args.threads : hostpool::HostPool::threads_from_env();
-    hostpool::HostPool pool(threads);
-    hostpool::HostPool::set_active(&pool);
 
     if (args.soak_hours > 0) {
         if (args.audit_liveness || !args.gray.empty()) {
@@ -780,7 +762,6 @@ int main(int argc, char** argv) {
     if (args.cfg.dc_count > 0) scenario.run_for(seconds(60));
     if (args.audit) scenario.run_audit();  // final end-of-run pass
     if (args.audit_liveness) liveness.finish(scenario.sim().now());
-    flush_pool_prof();
 
     const runtime::ScenarioReport r = scenario.report();
 
@@ -1030,4 +1011,18 @@ int main(int argc, char** argv) {
 
     std::printf("\nchains consistent across live nodes: %s\n", consistent ? "yes" : "NO");
     return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    Args args = Args::parse(argc, argv);
+    // Configuration validation (Scenario, Fleet, the chaos compilers)
+    // throws std::invalid_argument: report it as a usage error.
+    try {
+        return run(std::move(args));
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: invalid configuration: %s\n", argv[0], e.what());
+        return 2;
+    }
 }
