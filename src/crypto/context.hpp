@@ -8,10 +8,7 @@
 // those shapes into the simulation.
 #pragma once
 
-#include <array>
 #include <cassert>
-#include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -55,68 +52,6 @@ public:
 
 private:
     std::unordered_map<std::uint32_t, PublicKey> keys_;
-};
-
-/// Bounded digest-keyed memo of this principal's completed verifications.
-///
-/// This is VIRTUAL state: a real node would keep exactly this table in
-/// RAM, so its contents decide virtual CPU charging (first sight of a
-/// (signer, bytes, sig) triple pays the full asymmetric cost, repeats pay
-/// hash-only re-check cost) and its result short-circuits redundant
-/// certificate re-verification. It is only ever touched from the event
-/// loop, in deterministic order, so same-seed runs stay byte-identical.
-///
-/// Layout: a fixed direct-mapped slot array (the table a constrained
-/// device would actually ship — bounded RAM, no allocation, one probe
-/// per lookup). A new key evicts whatever occupied its slot; the slot
-/// index is a pure function of the key bytes, so replacement is as
-/// deterministic as the inserts themselves. This runs on every signature
-/// verification in the simulator — at fleet scale a node-allocating map
-/// here measurably drags the whole event loop through the allocator and
-/// the CPU cache, which is also not a table a real device would keep.
-class VerifyMemo {
-public:
-    static constexpr std::size_t kSlots = 1024;  // power of two, ~34 KiB
-
-    const bool* find(const Digest& key) const noexcept {
-        const Slot& s = slots_[slot_of(key)];
-        if (!s.used || s.key != key) return nullptr;
-        return &s.ok;
-    }
-
-    /// First write for a key wins (a triple's verdict never changes);
-    /// a different key mapping to the same slot replaces the occupant.
-    void insert(const Digest& key, bool ok) noexcept {
-        Slot& s = slots_[slot_of(key)];
-        if (s.used && s.key == key) return;
-        if (!s.used) ++size_;
-        s.key = key;
-        s.ok = ok;
-        s.used = true;
-    }
-
-    void clear() noexcept {
-        for (Slot& s : slots_) s.used = false;
-        size_ = 0;
-    }
-
-    std::size_t size() const noexcept { return size_; }
-
-private:
-    struct Slot {
-        Digest key{};
-        bool ok = false;
-        bool used = false;
-    };
-
-    static std::size_t slot_of(const Digest& key) noexcept {
-        std::uint64_t h;
-        std::memcpy(&h, key.data(), sizeof h);
-        return static_cast<std::size_t>(h) & (kSlots - 1);
-    }
-
-    std::array<Slot, kSlots> slots_{};
-    std::size_t size_ = 0;
 };
 
 /// One principal's view of the crypto subsystem.
@@ -166,9 +101,10 @@ public:
         meter_.add(costs_.verify_msg(message.size()));
         bool ok;
         VerifyCache& cache = global_verify_cache();
-        if (cache.lookup(key, ok)) {
+        if (const bool* cached = cache.find(key)) {
             // Already verified by another principal. Host-only shortcut;
             // charging above is unchanged.
+            ok = *cached;
             if (s_host_recheck) {
                 const bool again = provider_.verify(pub, message, sig);
                 assert(again == ok);

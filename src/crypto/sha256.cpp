@@ -86,6 +86,7 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
 }
 
 Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
+    if (len == 0) return *this;  // data may be null; memcpy from null is UB
     const auto* p = static_cast<const std::uint8_t*>(data);
     total_len_ += len;
     if (buffer_len_ > 0) {

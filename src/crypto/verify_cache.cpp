@@ -74,39 +74,6 @@ Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesVi
     return m.finalize();
 }
 
-bool VerifyCache::lookup(const Digest& key, bool& ok) const noexcept {
-    if (!enabled_) return false;
-    const Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    const Slot& slot = s.slots[slot_of(key)];
-    if (!slot.used || slot.key != key) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    ok = slot.ok;
-    return true;
-}
-
-void VerifyCache::insert(const Digest& key, bool ok) {
-    if (!enabled_) return;
-    Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    Slot& slot = s.slots[slot_of(key)];
-    if (slot.used && slot.key == key) return;
-    slot.key = key;
-    slot.ok = ok;
-    slot.used = true;
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void VerifyCache::clear() {
-    for (Shard& s : *shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        for (Slot& slot : s.slots) slot.used = false;
-    }
-}
-
 VerifyCache& global_verify_cache() noexcept {
     static VerifyCache cache;
     return cache;

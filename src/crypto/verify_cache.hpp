@@ -1,4 +1,6 @@
-// Process-wide cache of completed signature verifications.
+// Verdict tables of completed signature verifications: the per-principal
+// VerifyMemo (virtual state, see CryptoContext) and the process-wide
+// host VerifyCache.
 //
 // The verification of a (public key, message, signature) triple is a pure
 // function: the same inputs always produce the same boolean, for both
@@ -22,16 +24,17 @@
 // has to keep honest traffic collision-free (the key identifies a triple;
 // the equality classes that drive charging are the triples themselves),
 // and 128+ effective bits leave astronomical margin at simulation
-// volumes. Capacity is bounded by direct-mapped replacement per shard;
-// an evicted entry just means one redundant provider call.
+// volumes.
+//
+// Both tables are one type, VerdictTable: a fixed direct-mapped slot
+// array. Capacity is bounded by replacement; an evicted cache entry just
+// means one redundant provider call. The simulator runs on one host
+// thread, so neither table locks.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
+#include <vector>
 
 #include "crypto/digest.hpp"
 #include "crypto/ed25519.hpp"
@@ -44,33 +47,47 @@ namespace zc::crypto {
 Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesView message,
                         const Signature& sig) noexcept;
 
-/// Thread-safe bounded map Digest -> bool, sharded by key prefix; each
-/// shard is a fixed direct-mapped slot array (no allocation on the hot
-/// path, one probe per operation — this sits on every verification the
-/// simulator performs). A colliding key simply replaces the occupant:
-/// lossy is fine for a cache, the evictee just pays one provider call.
-class VerifyCache {
+/// Bounded map Digest -> bool: `Slots` direct-mapped entries (no
+/// allocation after construction, one probe per operation — this sits on
+/// every verification the simulator performs). A colliding key replaces
+/// the occupant; the slot index is a pure function of the key bytes, so
+/// replacement is as deterministic as the inserts themselves.
+template <std::size_t Slots>
+class VerdictTable {
 public:
-    static constexpr std::size_t kShards = 16;
-    static constexpr std::size_t kSlotsPerShard = 8192;  // power of two; ~4.5 MiB total
+    static_assert((Slots & (Slots - 1)) == 0, "slot count must be a power of two");
+    static constexpr std::size_t kSlots = Slots;
 
-    /// Returns true and sets `ok` if the triple's verdict is cached.
-    bool lookup(const Digest& key, bool& ok) const noexcept;
+    const bool* find(const Digest& key) const noexcept {
+        if (!enabled_) return nullptr;
+        const Slot& s = slots_[slot_of(key)];
+        if (!s.used || s.key != key) return nullptr;
+        return &s.ok;
+    }
 
-    /// Records a verdict (idempotent; capacity evicts oldest-first).
-    void insert(const Digest& key, bool ok);
+    /// First write for a key wins (a triple's verdict never changes);
+    /// a different key mapping to the same slot replaces the occupant.
+    void insert(const Digest& key, bool ok) noexcept {
+        if (!enabled_) return;
+        Slot& s = slots_[slot_of(key)];
+        if (s.used && s.key == key) return;
+        if (!s.used) ++size_;
+        s.key = key;
+        s.ok = ok;
+        s.used = true;
+    }
 
-    /// Master switch (tests / A-B measurement). Disabled lookups miss and
-    /// disabled inserts are dropped; virtual output is unaffected either
-    /// way.
+    void clear() noexcept {
+        for (Slot& s : slots_) s.used = false;
+        size_ = 0;
+    }
+
+    std::size_t size() const noexcept { return size_; }
+
+    /// A/B switch for the host cache: a disabled table misses every
+    /// lookup and drops every insert. Virtual output is unaffected.
     void set_enabled(bool on) noexcept { enabled_ = on; }
     bool enabled() const noexcept { return enabled_; }
-
-    void clear();
-
-    std::uint64_t hits() const noexcept { return hits_.load(std::memory_order_relaxed); }
-    std::uint64_t misses() const noexcept { return misses_.load(std::memory_order_relaxed); }
-    std::uint64_t inserts() const noexcept { return inserts_.load(std::memory_order_relaxed); }
 
 private:
     struct Slot {
@@ -79,30 +96,24 @@ private:
         bool used = false;
     };
 
-    struct Shard {
-        mutable std::mutex mu;
-        std::array<Slot, kSlotsPerShard> slots{};
-    };
-
-    Shard& shard_of(const Digest& key) noexcept { return (*shards_)[key[1] % kShards]; }
-    const Shard& shard_of(const Digest& key) const noexcept { return (*shards_)[key[1] % kShards]; }
-
-    /// Slot index draws on different key bytes than the shard selector.
     static std::size_t slot_of(const Digest& key) noexcept {
         std::uint64_t h;
-        std::memcpy(&h, key.data() + 8, sizeof h);
-        return static_cast<std::size_t>(h) & (kSlotsPerShard - 1);
+        std::memcpy(&h, key.data(), sizeof h);
+        return static_cast<std::size_t>(h) & (Slots - 1);
     }
 
-    // Heap-held: the slot arrays are a few MiB, too big for a stack-
-    // constructed instance in tests.
-    std::unique_ptr<std::array<Shard, kShards>> shards_ =
-        std::make_unique<std::array<Shard, kShards>>();
+    std::vector<Slot> slots_ = std::vector<Slot>(Slots);  // heap: the cache is ~4.3 MiB
+    std::size_t size_ = 0;
     bool enabled_ = true;
-    mutable std::atomic<std::uint64_t> hits_{0};
-    mutable std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> inserts_{0};
 };
+
+/// Per-principal VIRTUAL memo (see CryptoContext::verify): the bounded
+/// table a real node would keep in RAM, so its contents and evictions
+/// decide virtual charging. ~34 KiB.
+using VerifyMemo = VerdictTable<1024>;
+
+/// Process-wide HOST-ONLY cache: 131072 entries, ~4.3 MiB.
+using VerifyCache = VerdictTable<131072>;
 
 /// The process-global instance shared by every CryptoContext.
 VerifyCache& global_verify_cache() noexcept;

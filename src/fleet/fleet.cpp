@@ -3,20 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/log.hpp"
 #include "prof/prof.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::fleet {
-
-namespace {
-constexpr net::EndpointId kDcBase = 100;
-}
 
 Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)), sim_(config_.seed),
       provider_(crypto::make_provider(config_.train.crypto_provider)) {
     if (config_.trains == 0) throw std::invalid_argument("fleet needs at least one train");
+    for (const auto& [t, nodes] : config_.byzantine) {
+        if (t >= config_.trains) {
+            throw std::invalid_argument("byzantine entry names train " + std::to_string(t) +
+                                        " but trains=" + std::to_string(config_.trains));
+        }
+    }
     build();
 }
 
@@ -33,27 +33,9 @@ void Fleet::build() {
         dc_keys_.push_back(provider_->generate(dcrng));
     }
 
-    // Contended LTE: trains_per_cell shards share one cell, so each
-    // shard's uplink is provisioned with its static share of the cell.
-    net::LinkProfile lte = config_.train.lte_link;
-    lte.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
-
     // Shards, in train order (construction order is part of the replay).
     for (TrainId t = 0; t < config_.trains; ++t) {
         networks_.push_back(std::make_unique<net::Network>(sim_));
-        net::Network& net = *networks_.back();
-        net.set_default_profile(config_.train.train_link);
-        for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-            for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-                net.set_profile(i, kDcBase + d, lte);
-                net.set_profile(kDcBase + d, i, lte);
-            }
-        }
-        for (std::uint32_t a = 0; a < config_.dc_count; ++a) {
-            for (std::uint32_t b = 0; b < config_.dc_count; ++b) {
-                if (a != b) net.set_profile(kDcBase + a, kDcBase + b, config_.train.dc_link);
-            }
-        }
 
         if (config_.audit) auditors_.push_back(std::make_unique<faults::SafetyAuditor>());
 
@@ -82,39 +64,29 @@ void Fleet::build() {
         } else {
             cfg.trace_sink = nullptr;
         }
+        // Contended LTE: trains_per_cell shards share one cell, so each
+        // shard's uplink is provisioned with its static share of the cell.
+        cfg.lte_link.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
         cfg.byzantine.clear();
         const auto byz = config_.byzantine.find(t);
         if (byz != config_.byzantine.end()) cfg.byzantine = byz->second;
-        // Shard-local fault schedules come from the fleet chaos plan (or
-        // a per-train overlay), not the per-train template.
-        cfg.crash_schedule.clear();
-        cfg.restart_schedule.clear();
-        cfg.link_flaps.clear();
-        cfg.rate_windows.clear();
-        cfg.cpu_profiles.clear();
-        cfg.egress_ramps.clear();
-        const auto overlay = config_.overlays.find(t);
-        if (overlay != config_.overlays.end()) {
-            cfg.rate_windows = overlay->second.rate_windows;
-            cfg.cpu_profiles = overlay->second.cpu_profiles;
-            if (!cfg.allow_unsafe_chaos) {
-                // Validate the full overlay (crashes/flaps included) the
-                // same way a single-consist schedule is validated.
-                runtime::ScenarioConfig probe = cfg;
-                probe.crash_schedule = overlay->second.crash_schedule;
-                probe.restart_schedule = overlay->second.restart_schedule;
-                probe.link_flaps = overlay->second.link_flaps;
-                probe.egress_ramps = overlay->second.egress_ramps;
-                if (const auto err = runtime::validate_scenario_faults(probe)) {
-                    throw std::invalid_argument("fleet overlay train " + std::to_string(t) +
-                                                ": " + *err);
-                }
-            }
-        }
+        // Shard-local fault and timetable schedules come from the train's
+        // overlay (none without one), never from the per-train template.
+        // The shard validates and schedules them like any consist's.
+        static const FleetConfig::TrainOverlay kNoOverlay;
+        const auto found = config_.overlays.find(t);
+        const FleetConfig::TrainOverlay& overlay =
+            found != config_.overlays.end() ? found->second : kNoOverlay;
+        cfg.crash_schedule = overlay.crash_schedule;
+        cfg.restart_schedule = overlay.restart_schedule;
+        cfg.link_flaps = overlay.link_flaps;
+        cfg.rate_windows = overlay.rate_windows;
+        cfg.cpu_profiles = overlay.cpu_profiles;
+        cfg.egress_ramps = overlay.egress_ramps;
 
         runtime::ShardEnv env;
         env.sim = &sim_;
-        env.net = &net;
+        env.net = networks_.back().get();
         env.provider = provider_.get();
         env.rng_label = "train-" + std::to_string(t) + "-";
         env.dc_keys = &dc_keys_;
@@ -124,23 +96,10 @@ void Fleet::build() {
     // Shared data centers: each attaches one port per shard network and
     // one export core per train.
     for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        FleetDcConfig dcfg;
-        dcfg.id = d;
-        dcfg.dc_count = config_.dc_count;
-        dcfg.n = config_.train.n;
-        dcfg.f = config_.train.f;
-        dcfg.checkpoint_interval = config_.train.block_size;
-        dcfg.reply_timeout = config_.train.export_timeout;
-        dcfg.max_retries = config_.train.export_max_retries;
-        dcfg.retry_backoff = config_.train.export_retry_backoff;
-        dcfg.retry_backoff_max = config_.train.export_retry_backoff_max;
-        dcfg.ingest_cores = config_.dc_ingest_cores;
-        dcfg.ingest_queue = config_.dc_ingest_queue;
-        dcs_.push_back(std::make_unique<FleetDataCenter>(dcfg, sim_, *provider_, dc_keys_[d],
-                                                         index_, config_.trace_sink));
-        for (TrainId t = 0; t < config_.trains; ++t) {
-            dcs_.back()->add_shard(t, *networks_[t], shards_[t]->directory());
-        }
+        const FleetDcConfig dcfg{d, config_.dc_ingest_cores, config_.dc_ingest_queue};
+        dcs_.push_back(std::make_unique<FleetDataCenter>(dcfg, sim_, dc_keys_[d], index_,
+                                                         config_.trace_sink));
+        for (TrainId t = 0; t < config_.trains; ++t) dcs_.back()->add_shard(t, *shards_[t]);
     }
 
     // Fleet chaos plan.
@@ -154,8 +113,9 @@ void Fleet::build() {
     }
     for (const auto& z : config_.chaos.dead_zones) {
         if (z.train >= config_.trains) continue;
-        sim_.schedule(z.at, [this, z] { set_dead_zone(z.train, true); });
-        sim_.schedule(z.at + z.duration, [this, z] { set_dead_zone(z.train, false); });
+        runtime::TrainShard* shard = shards_[z.train].get();
+        sim_.schedule(z.at, [shard] { shard->set_uplink_blocked(true); });
+        sim_.schedule(z.at + z.duration, [shard] { shard->set_uplink_blocked(false); });
     }
     for (const auto& o : config_.chaos.dc_outages) {
         if (o.dc >= config_.dc_count) continue;
@@ -165,40 +125,8 @@ void Fleet::build() {
         }
     }
 
-    // Per-train journey overlays: crash/restart/flap schedules driven by
-    // the fleet on the shared clock (rate windows and CPU profiles were
-    // already installed into the shard configs above).
-    for (const auto& [t, overlay] : config_.overlays) {
-        if (t >= config_.trains) continue;
-        for (const auto& c : overlay.crash_schedule) {
-            if (c.node >= config_.train.n) continue;
-            sim_.schedule(c.at, [this, t = t, c] { shards_[t]->crash_node(c.node); });
-            if (c.restart_after > Duration::zero()) {
-                sim_.schedule(c.at + c.restart_after,
-                              [this, t = t, c] { shards_[t]->restart_node(c.node); });
-            }
-        }
-        for (const auto& [when, node] : overlay.restart_schedule) {
-            sim_.schedule(when, [this, t = t, node = node] { shards_[t]->restart_node(node); });
-        }
-        for (const auto& flap : overlay.link_flaps) {
-            sim_.schedule(flap.at,
-                          [this, t = t, flap] { apply_overlay_flap(t, flap, true); });
-            sim_.schedule(flap.at + flap.duration,
-                          [this, t = t, flap] { apply_overlay_flap(t, flap, false); });
-        }
-        for (const auto& r : overlay.egress_ramps) {
-            if (r.node >= config_.train.n) continue;
-            net::LinkRamp ramp;
-            ramp.start = TimePoint{r.at.count()};
-            ramp.duration = r.ramp;
-            ramp.bandwidth_scale_end = r.bandwidth_scale_end;
-            ramp.latency_scale_end = r.latency_scale_end;
-            ramp.loss_end = r.loss_end;
-            ramp.hold = r.hold;
-            networks_.at(t)->set_egress_ramp(r.node, ramp);
-        }
-    }
+    // Per-train fault schedules (journey overlays), in train order.
+    for (auto& shard : shards_) shard->schedule_faults();
 
     // Staggered periodic exports.
     if (config_.dc_count > 0 && config_.export_period > Duration::zero()) {
@@ -251,37 +179,6 @@ void Fleet::export_tick(TrainId train) {
         break;
     }
     sim_.schedule(config_.export_period, [this, train] { export_tick(train); });
-}
-
-void Fleet::apply_overlay_flap(TrainId train, const runtime::ScenarioConfig::LinkFlap& flap,
-                               bool blocked) {
-    if (flap.link == runtime::ScenarioConfig::LinkFlap::Link::kLte) {
-        // The whole uplink of one consist: exactly a dead zone.
-        set_dead_zone(train, blocked);
-        return;
-    }
-    // One node partitioned from its peers and the DCs, on its own shard
-    // network (mirrors Scenario::apply_flap).
-    net::Network& net = *networks_.at(train);
-    for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-        if (i == flap.node) continue;
-        net.set_blocked(flap.node, i, blocked);
-        if (!flap.asymmetric) net.set_blocked(i, flap.node, blocked);
-    }
-    for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        net.set_blocked(flap.node, kDcBase + d, blocked);
-        if (!flap.asymmetric) net.set_blocked(kDcBase + d, flap.node, blocked);
-    }
-}
-
-void Fleet::set_dead_zone(TrainId train, bool blocked) {
-    net::Network& net = *networks_.at(train);
-    for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net.set_blocked(i, kDcBase + d, blocked);
-            net.set_blocked(kDcBase + d, i, blocked);
-        }
-    }
 }
 
 void Fleet::sample_tick() {

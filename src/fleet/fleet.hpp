@@ -44,9 +44,10 @@ struct FleetConfig {
 
     /// Per-shard template. Fleet overrides, per shard: store_root
     /// (store_root/train-<t>), auditor/byzantine wiring, delete_quorum
-    /// (clamped to dc_count), dc_count (from the fleet). Health pointers
-    /// and schedules inside the template are ignored — the fleet drives
-    /// sampling, chaos and audits itself.
+    /// (clamped to dc_count), dc_count (from the fleet), the LTE link
+    /// (its per-cell bandwidth share) and the fault schedules (from the
+    /// train's overlay). Health pointers inside the template are ignored
+    /// — the fleet drives sampling, chaos and audits itself.
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
@@ -85,20 +86,20 @@ struct FleetConfig {
     bool audit = false;
     Duration audit_period{seconds(5)};
 
-    /// Per-train Byzantine knobs (train -> node -> behaviour).
+    /// Per-train Byzantine knobs (train -> node -> behaviour). A train
+    /// >= trains or a node >= n is rejected at construction.
     std::map<TrainId, std::map<NodeId, runtime::ByzantineBehavior>> byzantine;
 
     FleetChaos chaos;
 
     /// Per-train journey overlay: shard-local fault and timetable
     /// schedules, typically compiled from a journey plan (src/journey).
-    /// Unlike the template's schedules (which the fleet clears), an
-    /// overlay is applied to exactly its train: crashes/restarts/flaps
-    /// are driven by the fleet on the shared clock (an LTE flap is the
-    /// train's dead zone), rate windows and CPU profiles flow into the
-    /// shard's config. Each overlay is validated against the f budget at
-    /// construction (validate_scenario_faults) unless the template sets
-    /// allow_unsafe_chaos.
+    /// Unlike the template's schedules (which the fleet ignores), an
+    /// overlay is copied into exactly its train's config, and that
+    /// train's TrainShard validates it against the f budget
+    /// (validate_scenario_faults, unless the template sets
+    /// allow_unsafe_chaos) and schedules it like any consist's. An LTE
+    /// flap is the train's dead zone.
     struct TrainOverlay {
         std::vector<runtime::ScenarioConfig::CrashEntry> crash_schedule;
         std::vector<std::pair<Duration, NodeId>> restart_schedule;
@@ -197,9 +198,6 @@ private:
     void sample_tick();
     void audit_tick();
     void audit_shard(TrainId train);
-    void set_dead_zone(TrainId train, bool blocked);
-    void apply_overlay_flap(TrainId train, const runtime::ScenarioConfig::LinkFlap& flap,
-                            bool blocked);
 
     FleetConfig config_;
     sim::Simulation sim_;

@@ -1,15 +1,8 @@
 #include "fleet/fleet_dc.hpp"
 
-#include <variant>
-
-#include "prof/prof.hpp"
-#include "runtime/wire.hpp"
+#include <stdexcept>
 
 namespace zc::fleet {
-
-namespace {
-constexpr net::EndpointId kDcBase = 100;
-}
 
 void FleetIndex::observe(TrainId train, DataCenterId dc, const chain::BlockStore& store) {
     Height& cursor = cursors_[{dc, train}];
@@ -53,109 +46,22 @@ std::string FleetIndex::json() const {
     return out;
 }
 
-/// One train's slice of this data center: the network port on that
-/// shard's network, a crypto context bound to the shard's key directory,
-/// and the per-chain export protocol core.
-struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
-    ShardRig(FleetDataCenter& host, TrainId train, net::Network& net,
-             crypto::KeyDirectory& directory)
-        : host(host), train(train), net(net),
-          crypto(host.provider_, directory, host.key_, host.dc_costs_, meter) {
-        exporter::DcConfig cfg;
-        cfg.id = host.config_.id;
-        cfg.n = host.config_.n;
-        cfg.f = host.config_.f;
-        cfg.checkpoint_interval = host.config_.checkpoint_interval;
-        cfg.reply_timeout = host.config_.reply_timeout;
-        cfg.max_retries = host.config_.max_retries;
-        cfg.retry_backoff = host.config_.retry_backoff;
-        cfg.retry_backoff_max = host.config_.retry_backoff_max;
-        for (DataCenterId other = 0; other < host.config_.dc_count; ++other) {
-            if (other != cfg.id) cfg.peers.push_back(other);
-        }
-        core = std::make_unique<exporter::DataCenter>(cfg, host.sim_, crypto, *this);
-        if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcBase + cfg.id);
-    }
-
-    // Inbound (from this shard's replicas or a peer DC's port on the same
-    // shard network) funnels through the host's *shared* bounded
-    // executor: every train contends for the same ingestion tier.
-    void deliver(net::EndpointId from, Bytes message) override {
-        (void)from;
-        if (host.down_) return;
-        // Enqueue time feeds the ingest-queue span: how long this message
-        // waited for a shared executor core (arg = wire bytes, trace = train).
-        const TimePoint enqueued = host.sim_.now();
-        host.executor_.submit([this, enqueued, msg = std::move(message)] {
-            ZC_PROF_SCOPE(kDcIngest);
-            if (host.trace_ != nullptr) {
-                host.trace_->span(kDcBase + host.config_.id, enqueued,
-                                  host.sim_.now() - enqueued, trace::Phase::kDcIngestQueue,
-                                  train, msg.size());
-            }
-            crypto.charge(host.dc_costs_.handle(msg.size()));
-            const auto envelope = runtime::decode_envelope(msg);
-            if (envelope && envelope->channel == runtime::Channel::kExport) {
-                const auto m = exporter::decode_export_message(envelope->body);
-                if (m) {
-                    if (std::holds_alternative<exporter::DcSync>(*m)) {
-                        ZC_PROF_SCOPE(kDcSync);
-                        if (host.trace_ != nullptr) {
-                            host.trace_->event(kDcBase + host.config_.id, host.sim_.now(),
-                                               trace::Phase::kDcSync, train,
-                                               envelope->body.size());
-                        }
-                        core->on_message(*m);
-                    } else {
-                        core->on_message(*m);
-                    }
-                }
-            }
-            return meter.take();
-        });
-    }
-
-    void to_replica(NodeId replica, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.config_.id, replica,
-                 runtime::encode_envelope(runtime::Channel::kExport,
-                                          exporter::encode_export_message(m)));
-    }
-    // Peer DCs are reachable through their port on this same shard
-    // network, so per-train sync traffic stays within the shard's
-    // addressing plan (peer ports route it to their core for `train`).
-    void to_data_center(DataCenterId dc, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.config_.id, kDcBase + dc,
-                 runtime::encode_envelope(runtime::Channel::kExport,
-                                          exporter::encode_export_message(m)));
-    }
-
-    FleetDataCenter& host;
-    TrainId train;
-    net::Network& net;
-    crypto::WorkMeter meter;
-    crypto::CryptoContext crypto;
-    std::unique_ptr<exporter::DataCenter> core;
-};
-
-FleetDataCenter::FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                                 crypto::CryptoProvider& provider, crypto::KeyPair key,
+FleetDataCenter::FleetDataCenter(FleetDcConfig config, sim::Simulation& sim, crypto::KeyPair key,
                                  FleetIndex& index, trace::TraceSink* trace)
-    : config_(config), sim_(sim), provider_(provider), key_(std::move(key)), index_(index),
-      trace_(trace), dc_costs_(metrics::CostModel::cloud()),
+    : config_(config), key_(std::move(key)), index_(index), trace_(trace),
       executor_(sim, config.ingest_cores, config.ingest_queue) {}
 
 FleetDataCenter::~FleetDataCenter() = default;
 
-void FleetDataCenter::add_shard(TrainId train, net::Network& net,
-                                crypto::KeyDirectory& directory) {
-    if (rigs_.size() != train) {
+void FleetDataCenter::add_shard(TrainId train, runtime::TrainShard& shard) {
+    if (ports_.size() != train) {
         throw std::invalid_argument("fleet dc shards must be added in train order");
     }
-    rigs_.push_back(std::make_unique<ShardRig>(*this, train, net, directory));
-    net.attach(kDcBase + config_.id, rigs_.back().get());
+    ports_.push_back(
+        std::make_unique<runtime::DcPort>(shard, config_.id, key_, executor_, trace_, train));
     // Archive growth is indexed as exports complete (plus the periodic
     // observe_all sweep for sync-adopted blocks).
-    exporter::DataCenter* core = rigs_.back()->core.get();
+    exporter::DataCenter* core = &ports_.back()->dc();
     core->set_completion_hook([this, train, core](const exporter::ExportRecord& record) {
         if (record.success) index_.observe(train, config_.id, core->store());
     });
@@ -163,35 +69,33 @@ void FleetDataCenter::add_shard(TrainId train, net::Network& net,
 
 void FleetDataCenter::start_export(TrainId train) {
     if (down_) return;
-    rigs_.at(train)->core->start_export();
+    ports_.at(train)->dc().start_export();
 }
 
 bool FleetDataCenter::exporting(TrainId train) const {
-    return rigs_.at(train)->core->exporting();
+    return ports_.at(train)->dc().exporting();
 }
 
 void FleetDataCenter::set_down(bool down) {
     down_ = down;
-    for (const auto& rig : rigs_) {
-        rig->net.set_endpoint_down(kDcBase + config_.id, down);
-    }
+    for (const auto& port : ports_) port->set_down(down);
     if (down) executor_.clear_queue();  // the frontend loses its backlog too
 }
 
 void FleetDataCenter::observe_all() {
-    for (const auto& rig : rigs_) index_.observe(rig->train, config_.id, rig->core->store());
+    for (TrainId t = 0; t < ports_.size(); ++t) index_.observe(t, config_.id, core(t).store());
 }
 
-exporter::DataCenter& FleetDataCenter::core(TrainId train) { return *rigs_.at(train)->core; }
+exporter::DataCenter& FleetDataCenter::core(TrainId train) { return ports_.at(train)->dc(); }
 
 const exporter::DataCenter& FleetDataCenter::core(TrainId train) const {
-    return *rigs_.at(train)->core;
+    return ports_.at(train)->dc();
 }
 
 FleetDataCenter::Totals FleetDataCenter::totals() const {
     Totals t;
-    for (const auto& rig : rigs_) {
-        const exporter::DcStats& s = rig->core->stats();
+    for (const auto& port : ports_) {
+        const exporter::DcStats& s = port->dc().stats();
         t.exports_completed += s.exports_completed;
         t.exports_failed += s.exports_failed;
         t.retries += s.retries;

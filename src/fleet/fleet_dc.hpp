@@ -1,14 +1,14 @@
 // Shared data center for a fleet of train shards.
 //
 // One FleetDataCenter is a single juridical archive serving every train:
-// it attaches a port at the canonical DC endpoint (100 + id) on *each*
-// shard's network, runs one exporter::DataCenter protocol core per train
-// (export rounds are per-chain; proofs verify against that shard's key
-// directory), and funnels every inbound message through one shared
-// bounded MeteredExecutor — the DC frontend. A fleet hammering the same
-// archive therefore contends for ingest capacity: when the queue fills,
-// messages drop and the affected shard's export retries with backoff,
-// exactly like a overloaded real ingestion tier.
+// it attaches a runtime::DcPort at the canonical DC endpoint (100 + id)
+// on *each* shard's network — one exporter::DataCenter protocol core per
+// train (export rounds are per-chain; proofs verify against that shard's
+// key directory) — and funnels every port's inbound messages through one
+// shared bounded MeteredExecutor: the DC frontend. A fleet hammering the
+// same archive therefore contends for ingest capacity: when the queue
+// fills, messages drop and the affected shard's export retries with
+// backoff, exactly like a overloaded real ingestion tier.
 //
 // Exported blocks from all shards feed a FleetIndex keyed by train id:
 // re-deliveries of a block already archived for the same train (DC-to-DC
@@ -21,10 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "export/data_center.hpp"
 #include "fleet/chaos.hpp"
-#include "net/network.hpp"
-#include "sim/executor.hpp"
+#include "runtime/dc_port.hpp"
 
 namespace zc::fleet {
 
@@ -65,18 +63,10 @@ private:
     std::uint64_t cross_shard_collisions_ = 0;
 };
 
+/// Export protocol parameters come from each shard's config (see
+/// runtime::DcPort); only the shared frontend is configured here.
 struct FleetDcConfig {
     DataCenterId id = 0;
-    std::uint32_t dc_count = 1;
-
-    // Per-shard export protocol parameters (mirrors runtime::ScenarioConfig).
-    std::uint32_t n = 4;
-    std::uint32_t f = 1;
-    SeqNo checkpoint_interval = 10;
-    Duration reply_timeout{seconds(60)};
-    std::uint32_t max_retries = 8;
-    Duration retry_backoff{seconds(2)};
-    Duration retry_backoff_max{seconds(30)};
 
     /// The shared ingestion tier: cores and bounded queue for *all* shards
     /// together (0 = unbounded queue).
@@ -86,20 +76,19 @@ struct FleetDcConfig {
 
 class FleetDataCenter {
 public:
-    FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                    crypto::CryptoProvider& provider, crypto::KeyPair key, FleetIndex& index,
-                    trace::TraceSink* trace = nullptr);
+    FleetDataCenter(FleetDcConfig config, sim::Simulation& sim, crypto::KeyPair key,
+                    FleetIndex& index, trace::TraceSink* trace = nullptr);
     ~FleetDataCenter();
 
     FleetDataCenter(const FleetDataCenter&) = delete;
     FleetDataCenter& operator=(const FleetDataCenter&) = delete;
 
     /// Registers one shard: attaches this DC's port at endpoint 100 + id
-    /// on the shard's network and spins up the per-train protocol core
-    /// verifying against that shard's key directory. Call once per train,
-    /// in train order, for every DC (construction order is part of the
+    /// on the shard's network, with the per-train protocol core verifying
+    /// against that shard's key directory. Call once per train, in train
+    /// order, for every DC (construction order is part of the
     /// deterministic replay).
-    void add_shard(TrainId train, net::Network& net, crypto::KeyDirectory& directory);
+    void add_shard(TrainId train, runtime::TrainShard& shard);
 
     /// Starts an export round for one train (no-op while one is running).
     void start_export(TrainId train);
@@ -117,7 +106,7 @@ public:
     exporter::DataCenter& core(TrainId train);
     const exporter::DataCenter& core(TrainId train) const;
     DataCenterId id() const noexcept { return config_.id; }
-    std::size_t shard_count() const noexcept { return rigs_.size(); }
+    std::size_t shard_count() const noexcept { return ports_.size(); }
 
     std::uint64_t ingest_dropped() const noexcept { return executor_.dropped(); }
     std::size_t ingest_queue_depth() const noexcept { return executor_.queue_depth(); }
@@ -132,17 +121,12 @@ public:
     Totals totals() const;
 
 private:
-    struct ShardRig;
-
     FleetDcConfig config_;
-    sim::Simulation& sim_;
-    crypto::CryptoProvider& provider_;
     crypto::KeyPair key_;
     FleetIndex& index_;
     trace::TraceSink* trace_;
-    metrics::CostModel dc_costs_;
     sim::MeteredExecutor executor_;
-    std::vector<std::unique_ptr<ShardRig>> rigs_;  ///< indexed by train id
+    std::vector<std::unique_ptr<runtime::DcPort>> ports_;  ///< indexed by train id
     bool down_ = false;
 };
 

@@ -1,90 +1,13 @@
 #include "runtime/scenario.hpp"
 
-#include <stdexcept>
-
-#include "common/log.hpp"
 #include "prof/prof.hpp"
 #include "runtime/validate.hpp"
 
 namespace zc::runtime {
 
-namespace {
-constexpr net::EndpointId kDcBase = 100;
-}
-
-/// A data center plus its local executor/crypto, attached to the network.
-class Scenario::DataCenterHost final : public net::Endpoint {
-public:
-    DataCenterHost(DataCenterId id, Scenario& scenario, crypto::KeyPair key)
-        : id_(id), scenario_(scenario),
-          crypto_(*scenario.provider_, scenario.shard_->directory(), std::move(key),
-                  scenario.dc_costs_, meter_),
-          executor_(scenario.sim_, 4), transport_(*this) {
-        exporter::DcConfig cfg;
-        cfg.id = id;
-        cfg.n = scenario.config_.n;
-        cfg.f = scenario.config_.f;
-        cfg.checkpoint_interval = scenario.config_.block_size;
-        cfg.reply_timeout = scenario.config_.export_timeout;
-        cfg.max_retries = scenario.config_.export_max_retries;
-        cfg.retry_backoff = scenario.config_.export_retry_backoff;
-        cfg.retry_backoff_max = scenario.config_.export_retry_backoff_max;
-        for (DataCenterId other = 0; other < scenario.config_.dc_count; ++other) {
-            if (other != id) cfg.peers.push_back(other);
-        }
-        dc_ = std::make_unique<exporter::DataCenter>(cfg, scenario.sim_, crypto_, transport_);
-    }
-
-    void deliver(net::EndpointId from, Bytes message) override {
-        (void)from;
-        executor_.submit([this, msg = std::move(message)] {
-            ZC_PROF_SCOPE(kDcIngest);
-            crypto_.charge(scenario_.dc_costs_.handle(msg.size()));
-            const auto envelope = decode_envelope(msg);
-            if (envelope && envelope->channel == Channel::kExport) {
-                const auto m = exporter::decode_export_message(envelope->body);
-                if (m) dc_->on_message(*m);
-            }
-            return meter_.take();
-        });
-    }
-
-    exporter::DataCenter& dc() noexcept { return *dc_; }
-
-private:
-    struct Transport final : exporter::DcTransport {
-        explicit Transport(DataCenterHost& host) : host(host) {}
-        void to_replica(NodeId replica, const exporter::ExportMessage& m) override {
-            host.scenario_.net_.send(kDcBase + host.id_, replica,
-                                     encode_envelope(Channel::kExport,
-                                                     exporter::encode_export_message(m)));
-        }
-        void to_data_center(DataCenterId dc, const exporter::ExportMessage& m) override {
-            host.scenario_.net_.send(kDcBase + host.id_, kDcBase + dc,
-                                     encode_envelope(Channel::kExport,
-                                                     exporter::encode_export_message(m)));
-        }
-        DataCenterHost& host;
-    };
-
-    DataCenterId id_;
-    Scenario& scenario_;
-    crypto::WorkMeter meter_;
-    crypto::CryptoContext crypto_;
-    sim::MeteredExecutor executor_;
-    Transport transport_;
-    std::unique_ptr<exporter::DataCenter> dc_;
-};
-
 Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)), sim_(config_.seed), net_(sim_),
-      provider_(crypto::make_provider(config_.crypto_provider)),
-      dc_costs_(metrics::CostModel::cloud()) {
-    if (!config_.allow_unsafe_chaos) {
-        if (const auto err = validate_scenario_faults(config_)) {
-            throw std::invalid_argument("scenario fault schedule: " + *err);
-        }
-    }
+      provider_(crypto::make_provider(config_.crypto_provider)) {
     build();
 }
 
@@ -96,24 +19,9 @@ void Scenario::build() {
     ZC_PROF_SCOPE(kSetup);
     sim_.set_profiler(prof::Profiler::active());
 
-    // Network topology: full mesh of train Ethernet between nodes; LTE
-    // between train and data centers; fast interconnect between DCs.
-    // (Profile setup consumes no randomness, so it can precede the shard.)
-    net_.set_default_profile(config_.train_link);
-    for (std::uint32_t i = 0; i < config_.n; ++i) {
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net_.set_profile(i, kDcBase + d, config_.lte_link);
-            net_.set_profile(kDcBase + d, i, config_.lte_link);
-        }
-    }
-    for (std::uint32_t a = 0; a < config_.dc_count; ++a) {
-        for (std::uint32_t b = 0; b < config_.dc_count; ++b) {
-            if (a != b) net_.set_profile(kDcBase + a, kDcBase + b, config_.dc_link);
-        }
-    }
-
-    // The consist itself: keys, auditor wiring, generator, buses, nodes,
-    // state transfer. The empty rng label keeps the classic fork stream.
+    // The consist itself: fault-schedule validation, links, keys, auditor
+    // wiring, generator, buses, nodes, state transfer. The empty rng label
+    // keeps the classic fork stream.
     ShardEnv env;
     env.sim = &sim_;
     env.net = &net_;
@@ -133,24 +41,10 @@ void Scenario::build() {
         const Duration horizon = config_.warmup + config_.duration;
 
         std::vector<faults::NodeDarkSpan> dark;
-        std::vector<std::pair<Duration, NodeId>> restarts = config_.restart_schedule;
-        std::sort(restarts.begin(), restarts.end());
-        std::vector<bool> restart_used(restarts.size(), false);
-        for (const auto& c : config_.crash_schedule) {
-            Duration to = horizon;
-            if (c.restart_after > Duration::zero()) {
-                to = c.at + c.restart_after;
-            } else {
-                for (std::size_t r = 0; r < restarts.size(); ++r) {
-                    if (!restart_used[r] && restarts[r].second == c.node &&
-                        restarts[r].first > c.at) {
-                        restart_used[r] = true;
-                        to = restarts[r].first;
-                        break;
-                    }
-                }
-            }
-            dark.push_back({c.node, c.at, to});
+        const std::vector<std::optional<Duration>> ends = crash_restart_times(config_);
+        for (std::size_t i = 0; i < config_.crash_schedule.size(); ++i) {
+            const auto& c = config_.crash_schedule[i];
+            dark.push_back({c.node, c.at, ends[i].value_or(horizon)});
         }
         std::vector<faults::UplinkDarkSpan> uplink;
         for (const auto& flap : config_.link_flaps) {
@@ -166,45 +60,15 @@ void Scenario::build() {
         sim_.schedule(config_.liveness_period, [this] { liveness_tick(); });
     }
 
-    // Data centers (keys drawn by the shard, single-consist mode).
+    // Data centers (keys drawn by the shard, single-consist mode), each
+    // ingesting on its own 4-core executor.
     for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        dcs_.push_back(
-            std::make_unique<DataCenterHost>(d, *this, shard_->generated_dc_keys()[d]));
-        net_.attach(kDcBase + d, dcs_.back().get());
-        dcs_.back()->dc().set_trace(config_.trace_sink, kDcBase + d);
+        dc_executors_.emplace_back(sim_, 4);
+        dcs_.push_back(std::make_unique<DcPort>(*shard_, d, shard_->generated_dc_keys()[d],
+                                                dc_executors_.back(), config_.trace_sink, 0));
     }
 
-    // Fault schedules: crashes (optionally auto-restarting), explicit
-    // restarts, and link flaps.
-    for (const auto& c : config_.crash_schedule) {
-        const NodeId id = c.node;
-        sim_.schedule(c.at, [this, id] { crash_node(id); });
-        if (c.restart_after > Duration::zero()) {
-            sim_.schedule(c.at + c.restart_after, [this, id] { restart_node(id); });
-        }
-    }
-    for (const auto& [when, id] : config_.restart_schedule) {
-        const NodeId node = id;
-        sim_.schedule(when, [this, node] { restart_node(node); });
-    }
-    for (const auto& flap : config_.link_flaps) {
-        sim_.schedule(flap.at, [this, flap] { apply_flap(flap, true); });
-        sim_.schedule(flap.at + flap.duration, [this, flap] { apply_flap(flap, false); });
-    }
-
-    // Gray degradation ramps install up front: the LinkRamp start time is
-    // absolute, so the network computes the drift lazily per send.
-    for (const auto& r : config_.egress_ramps) {
-        net::LinkRamp ramp;
-        ramp.start = TimePoint{r.at.count()};
-        ramp.duration = r.ramp;
-        ramp.bandwidth_scale_end = r.bandwidth_scale_end;
-        ramp.latency_scale_end = r.latency_scale_end;
-        ramp.loss_end = r.loss_end;
-        ramp.hold = r.hold;
-        net_.set_egress_ramp(r.node, ramp);
-    }
-
+    shard_->schedule_faults();
     shard_->start();
     sim_.schedule(config_.mem_sample_period, [this] { sample_memory(); });
     sim_.schedule(config_.warmup, [this] { start_measuring(); });
@@ -224,39 +88,6 @@ void Scenario::build() {
 void Scenario::crash_node(NodeId id) { shard_->crash_node(id); }
 
 void Scenario::restart_node(NodeId id) { shard_->restart_node(id); }
-
-void Scenario::apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked) {
-    if (flap.link == ScenarioConfig::LinkFlap::Link::kLte) {
-        // The whole LTE uplink: every node <-> data-center pair.
-        for (std::uint32_t i = 0; i < config_.n; ++i) {
-            for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-                net_.set_blocked(i, kDcBase + d, blocked);
-                net_.set_blocked(kDcBase + d, i, blocked);
-            }
-        }
-    } else {
-        // Transient partition: one node cut off from peers and DCs. An
-        // asymmetric flap cuts only the node's outbound direction (dead
-        // TX): it keeps hearing the cluster but nobody hears it.
-        for (std::uint32_t i = 0; i < config_.n; ++i) {
-            if (i == flap.node) continue;
-            net_.set_blocked(flap.node, i, blocked);
-            if (!flap.asymmetric) net_.set_blocked(i, flap.node, blocked);
-        }
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net_.set_blocked(flap.node, kDcBase + d, blocked);
-            if (!flap.asymmetric) net_.set_blocked(kDcBase + d, flap.node, blocked);
-        }
-    }
-    if (config_.trace_sink != nullptr) {
-        const NodeId who =
-            flap.link == ScenarioConfig::LinkFlap::Link::kLte ? kNoNode : flap.node;
-        config_.trace_sink->event(who, sim_.now(),
-                                  blocked ? trace::Phase::kLinkDown : trace::Phase::kLinkUp,
-                                  static_cast<std::uint64_t>(who),
-                                  static_cast<std::uint64_t>(flap.duration.count()));
-    }
-}
 
 void Scenario::start_measuring() {
     measuring_ = true;

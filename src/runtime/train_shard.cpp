@@ -1,11 +1,13 @@
 #include "runtime/train_shard.hpp"
 
+#include <stdexcept>
+
 #include "common/log.hpp"
 #include "crypto/sha256.hpp"
 #include "export/data_center.hpp"
 #include "export/messages.hpp"
 #include "prof/prof.hpp"
-#include "runtime/scenario.hpp"
+#include "runtime/validate.hpp"
 
 namespace zc::runtime {
 
@@ -21,6 +23,13 @@ struct TrainShard::SourceTap final : bus::BusTap {
 
 TrainShard::TrainShard(const ScenarioConfig& config, ShardEnv env)
     : config_(std::make_unique<ScenarioConfig>(config)), env_(std::move(env)) {
+    if (!config_->allow_unsafe_chaos) {
+        if (const auto err = validate_scenario_faults(*config_)) {
+            std::string who = env_.rng_label.empty() ? "scenario" : env_.rng_label;
+            if (who.back() == '-') who.pop_back();
+            throw std::invalid_argument(who + " fault schedule: " + *err);
+        }
+    }
     build();
 }
 
@@ -30,6 +39,21 @@ void TrainShard::build() {
     ZC_PROF_SCOPE(kSetup);
     sim::Simulation& sim = *env_.sim;
     const ScenarioConfig& cfg = *config_;
+
+    // Links: train Ethernet between nodes (the default), the LTE uplink
+    // between every node and every data center, the DC interconnect
+    // between data centers. Profiles draw no randomness.
+    net::Network& net = *env_.net;
+    net.set_default_profile(cfg.train_link);
+    for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+        for (std::uint32_t i = 0; i < cfg.n; ++i) {
+            net.set_profile(i, dc_endpoint(d), cfg.lte_link);
+            net.set_profile(dc_endpoint(d), i, cfg.lte_link);
+        }
+        for (std::uint32_t e = 0; e < cfg.dc_count; ++e) {
+            if (e != d) net.set_profile(dc_endpoint(d), dc_endpoint(e), cfg.dc_link);
+        }
+    }
 
     // Keys for nodes and data centers (the permissioned membership). The
     // fork label is prefixed per shard so a fleet's shards draw
@@ -166,6 +190,75 @@ void TrainShard::build() {
 
 void TrainShard::start() { bus_->start(); }
 
+void TrainShard::schedule_faults() {
+    sim::Simulation& sim = *env_.sim;
+    for (const auto& c : config_->crash_schedule) {
+        const NodeId id = c.node;
+        sim.schedule(c.at, [this, id] { crash_node(id); });
+        if (c.restart_after > Duration::zero()) {
+            sim.schedule(c.at + c.restart_after, [this, id] { restart_node(id); });
+        }
+    }
+    for (const auto& [when, id] : config_->restart_schedule) {
+        sim.schedule(when, [this, id = id] { restart_node(id); });
+    }
+    for (const auto& flap : config_->link_flaps) {
+        sim.schedule(flap.at, [this, &flap] { apply_flap(flap, true); });
+        sim.schedule(flap.at + flap.duration, [this, &flap] { apply_flap(flap, false); });
+    }
+
+    // Gray degradation ramps install up front: the LinkRamp start time is
+    // absolute, so the network computes the drift lazily per send.
+    for (const auto& r : config_->egress_ramps) {
+        net::LinkRamp ramp;
+        ramp.start = TimePoint{r.at.count()};
+        ramp.duration = r.ramp;
+        ramp.bandwidth_scale_end = r.bandwidth_scale_end;
+        ramp.latency_scale_end = r.latency_scale_end;
+        ramp.loss_end = r.loss_end;
+        ramp.hold = r.hold;
+        env_.net->set_egress_ramp(r.node, ramp);
+    }
+}
+
+void TrainShard::apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked) {
+    const ScenarioConfig& cfg = *config_;
+    const bool lte = flap.link == ScenarioConfig::LinkFlap::Link::kLte;
+    if (lte) {
+        set_uplink_blocked(blocked);
+    } else {
+        // Transient partition: one node cut off from peers and DCs. An
+        // asymmetric flap cuts only the node's outbound direction (dead
+        // TX): it keeps hearing the cluster but nobody hears it.
+        net::Network& net = *env_.net;
+        for (std::uint32_t i = 0; i < cfg.n; ++i) {
+            if (i == flap.node) continue;
+            net.set_blocked(flap.node, i, blocked);
+            if (!flap.asymmetric) net.set_blocked(i, flap.node, blocked);
+        }
+        for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+            net.set_blocked(flap.node, dc_endpoint(d), blocked);
+            if (!flap.asymmetric) net.set_blocked(dc_endpoint(d), flap.node, blocked);
+        }
+    }
+    if (cfg.trace_sink != nullptr) {
+        const NodeId who = lte ? kNoNode : flap.node;
+        cfg.trace_sink->event(who, env_.sim->now(),
+                              blocked ? trace::Phase::kLinkDown : trace::Phase::kLinkUp,
+                              static_cast<std::uint64_t>(who),
+                              static_cast<std::uint64_t>(flap.duration.count()));
+    }
+}
+
+void TrainShard::set_uplink_blocked(bool blocked) {
+    for (std::uint32_t i = 0; i < config_->n; ++i) {
+        for (std::uint32_t d = 0; d < config_->dc_count; ++d) {
+            env_.net->set_blocked(i, dc_endpoint(d), blocked);
+            env_.net->set_blocked(dc_endpoint(d), i, blocked);
+        }
+    }
+}
+
 void TrainShard::install_state_fetcher(Node& node) {
     // State transfer (paper §III-D discussion (ii)): a lagging replica
     // fetches missing blocks from a peer, stages them, and validates the
@@ -247,37 +340,17 @@ void TrainShard::install_state_fetcher(Node& node) {
                     expect += 1;
                 }
                 if (!ok || prev != state) {
-                    state_transfer_rejected_ += 1;
-                    ZC_WARN("scenario",
-                            "node {} rejected rebase range [{}, {}] from node {}",
-                            self->id(), anchor->base_height, target, peer->id());
-                    if (cfg.trace_sink != nullptr) {
-                        cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                              trace::Phase::kStateTransferRejected, seq,
-                                              peer->id());
-                    }
+                    reject_range(*self, *peer, "rebase", anchor->base_height, target, seq);
                     continue;
                 }
 
-                for (const chain::Block& b : staged) {
-                    for (const chain::LoggedRequest& req : b.requests) {
-                        const crypto::Digest d = crypto::sha256(req.payload);
-                        if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                        if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                    }
-                }
+                for (const chain::Block& b : staged) mark_logged(*self, b);
                 const std::uint64_t copied = staged.size();
                 self->store().rebase(std::move(staged.front()), anchor->evidence);
                 for (std::size_t i = 1; i < staged.size(); ++i) {
                     self->store().append(std::move(staged[i]));
                 }
-                state_transfer_fetches_ += 1;
-                state_transfer_blocks_ += copied;
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransfer, seq, copied);
-                }
-                return true;
+                return note_fetched(*self, seq, copied);
             }
 
             // A compromised peer may serve a forged-but-hash-linked range
@@ -298,33 +371,20 @@ void TrainShard::install_state_fetcher(Node& node) {
             // before the checkpoint-digest check runs.
             bool ok = true;
             std::uint64_t copied = 0;
-            for (chain::Block& b : staged) {
+            for (const chain::Block& b : staged) {
                 self->crypto().charge_hash(b.size_bytes());
-                std::vector<crypto::Digest> digests;
-                for (const chain::LoggedRequest& req : b.requests) {
-                    digests.push_back(crypto::sha256(req.payload));
-                }
                 try {
-                    self->store().append(std::move(b));
+                    self->store().append(chain::Block(b));
                 } catch (const std::invalid_argument&) {
                     ok = false;
                     break;
                 }
                 copied += 1;
-                for (const crypto::Digest& d : digests) {
-                    if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                    if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                }
+                mark_logged(*self, b);
             }
             if (ok && self->store().head_height() >= target &&
                 self->store().head_hash() == state) {
-                state_transfer_fetches_ += 1;
-                state_transfer_blocks_ += copied;
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransfer, seq, copied);
-                }
-                return true;
+                return note_fetched(*self, seq, copied);
             }
 #else
             // Stage-then-adopt: validate the whole range incrementally
@@ -341,38 +401,48 @@ void TrainShard::install_state_fetcher(Node& node) {
                 expect += 1;
             }
             if (!ok || prev != state) {
-                state_transfer_rejected_ += 1;
-                ZC_WARN("scenario",
-                        "node {} rejected state-transfer range [{}, {}] from node {}",
-                        self->id(), from, target, peer->id());
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransferRejected, seq,
-                                          peer->id());
-                }
+                reject_range(*self, *peer, "state-transfer", from, target, seq);
                 continue;  // try the next peer
             }
-            std::uint64_t copied = 0;
+            const std::uint64_t copied = staged.size();
             for (chain::Block& b : staged) {
-                for (const chain::LoggedRequest& req : b.requests) {
-                    const crypto::Digest d = crypto::sha256(req.payload);
-                    if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                    if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                }
+                mark_logged(*self, b);
                 self->store().append(std::move(b));
-                copied += 1;
             }
-            state_transfer_fetches_ += 1;
-            state_transfer_blocks_ += copied;
-            if (cfg.trace_sink != nullptr) {
-                cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                      trace::Phase::kStateTransfer, seq, copied);
-            }
-            return true;
+            return note_fetched(*self, seq, copied);
 #endif
         }
         return false;
     });
+}
+
+void TrainShard::mark_logged(Node& node, const chain::Block& block) {
+    for (const chain::LoggedRequest& req : block.requests) {
+        const crypto::Digest d = crypto::sha256(req.payload);
+        if (node.layer() != nullptr) node.layer()->mark_logged(d);
+        if (config_->auditor != nullptr) config_->auditor->note_logged(node.id(), d);
+    }
+}
+
+bool TrainShard::note_fetched(const Node& node, SeqNo seq, std::uint64_t blocks) {
+    state_transfer_fetches_ += 1;
+    state_transfer_blocks_ += blocks;
+    if (config_->trace_sink != nullptr) {
+        config_->trace_sink->event(node.id(), env_.sim->now(), trace::Phase::kStateTransfer,
+                                   seq, blocks);
+    }
+    return true;
+}
+
+void TrainShard::reject_range(const Node& node, const Node& peer, const char* kind,
+                              Height from, Height to, SeqNo seq) {
+    state_transfer_rejected_ += 1;
+    ZC_WARN("scenario", "node {} rejected {} range [{}, {}] from node {}", node.id(), kind, from,
+            to, peer.id());
+    if (config_->trace_sink != nullptr) {
+        config_->trace_sink->event(node.id(), env_.sim->now(),
+                                   trace::Phase::kStateTransferRejected, seq, peer.id());
+    }
 }
 
 void TrainShard::crash_node(NodeId id) { nodes_.at(id)->crash(); }

@@ -1,15 +1,17 @@
 // One consist's complete on-train rig, reusable across harnesses: the
-// permissioned key membership, ATP signal generator, MVB-like bus (plus
-// optional extra input buses), the n ZugChain nodes with their protocol
-// stacks, validated state-transfer wiring between them, and crash/restart
-// control.
+// link profiles of its network (train Ethernet, LTE uplink, DC
+// interconnect), the permissioned key membership, ATP signal generator,
+// MVB-like bus (plus optional extra input buses), the n ZugChain nodes
+// with their protocol stacks, validated state-transfer wiring between
+// them, and its whole fault schedule: validation at construction, then
+// crashes, restarts, link flaps, egress ramps and telegram-rate windows.
 //
 // runtime::Scenario composes exactly one TrainShard with data centers and
 // measurement (the paper's single-consist testbed); fleet::Fleet composes
 // many of them on one shared virtual clock — each shard gets its own
 // net::Network (trains do not talk to each other) while all shards share
 // the simulation, so a 100-train timetable is still one deterministic
-// event sequence.
+// event sequence. Data centers reach a shard through runtime::DcPort.
 #pragma once
 
 #include <memory>
@@ -18,11 +20,14 @@
 #include "crypto/context.hpp"
 #include "health/monitor.hpp"
 #include "runtime/node.hpp"
+#include "runtime/scenario_config.hpp"
 #include "train/generator.hpp"
 
 namespace zc::runtime {
 
-struct ScenarioConfig;  // defined in runtime/scenario.hpp
+/// Data center `dc`'s endpoint on every consist network (replicas are
+/// 0..n-1). Trace events of that DC record under the same pid.
+constexpr net::EndpointId dc_endpoint(DataCenterId dc) noexcept { return 100 + dc; }
 
 /// The substrate one shard plugs into. In a fleet every shard shares the
 /// simulation (one virtual clock) but owns its network; the harness picks
@@ -45,6 +50,9 @@ struct ShardEnv {
 
 class TrainShard {
 public:
+    /// Validates the config's fault schedules (unless allow_unsafe_chaos;
+    /// throws std::invalid_argument naming the first violation), installs
+    /// the link profiles and builds the consist.
     TrainShard(const ScenarioConfig& config, ShardEnv env);
     ~TrainShard();
 
@@ -54,6 +62,15 @@ public:
     /// Starts the main bus master (extra buses start at construction, as
     /// the classic build order did). Call after fault schedules are wired.
     void start();
+
+    /// Schedules the config's crashes, restarts and link flaps and
+    /// installs its egress ramps. Harnesses call it where the event order
+    /// puts fault events (rate windows are scheduled at construction).
+    void schedule_faults();
+
+    /// Blocks (or reopens) every node <-> data-center link, untraced: the
+    /// train in a radio dead zone.
+    void set_uplink_blocked(bool blocked);
 
     Node& node(std::size_t i) { return *nodes_.at(i); }
     const Node& node(std::size_t i) const { return *nodes_.at(i); }
@@ -77,6 +94,8 @@ public:
     std::vector<faults::ReplicaView> replica_views();
 
     crypto::KeyDirectory& directory() noexcept { return directory_; }
+    const ScenarioConfig& config() const noexcept { return *config_; }
+    const ShardEnv& env() const noexcept { return env_; }
 
     /// The nominal device cost table. Nodes named in
     /// `ScenarioConfig::cpu_profiles` charge a scaled copy instead (a
@@ -105,7 +124,16 @@ private:
     void build();
     void install_state_fetcher(Node& node);
 
-    const ScenarioConfig& config() const noexcept { return *config_; }
+    /// Blocks (or reopens) a link flap's links and traces link_down /
+    /// link_up: the whole LTE uplink, or one node cut off from its peers
+    /// and the DCs (only its outbound direction if asymmetric).
+    void apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked);
+
+    // State-transfer bookkeeping shared by every adoption path.
+    void mark_logged(Node& node, const chain::Block& block);
+    bool note_fetched(const Node& node, SeqNo seq, std::uint64_t blocks);
+    void reject_range(const Node& node, const Node& peer, const char* kind, Height from,
+                      Height to, SeqNo seq);
 
     std::unique_ptr<ScenarioConfig> config_;  ///< shard-local copy
     ShardEnv env_;

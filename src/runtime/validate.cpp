@@ -33,6 +33,31 @@ struct DownInterval {
 
 }  // namespace
 
+std::vector<std::optional<Duration>> crash_restart_times(const ScenarioConfig& cfg) {
+    std::vector<std::pair<Duration, NodeId>> restarts = cfg.restart_schedule;
+    std::sort(restarts.begin(), restarts.end());
+    std::vector<bool> restart_used(restarts.size(), false);
+    std::vector<std::optional<Duration>> ends;
+    ends.reserve(cfg.crash_schedule.size());
+    for (const auto& c : cfg.crash_schedule) {
+        std::optional<Duration> end;
+        if (c.restart_after > Duration::zero()) {
+            end = c.at + c.restart_after;
+        } else {
+            for (std::size_t r = 0; r < restarts.size(); ++r) {
+                if (!restart_used[r] && restarts[r].second == c.node &&
+                    restarts[r].first > c.at) {
+                    restart_used[r] = true;
+                    end = restarts[r].first;
+                    break;
+                }
+            }
+        }
+        ends.push_back(end);
+    }
+    return ends;
+}
+
 std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     // Per-node maps keyed by an id >= n would be silently ignored.
     const auto check_ids = [&cfg](const char* what,
@@ -49,34 +74,15 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     if (auto err = check_ids("cpu_profiles", cfg.cpu_profiles)) return err;
     if (auto err = check_ids("tap_faults", cfg.tap_faults)) return err;
 
-    // Resolve each crash to a down interval, pairing fail-stop crashes
-    // with the earliest later explicit restart of the same node.
-    std::vector<std::pair<Duration, NodeId>> restarts = cfg.restart_schedule;
-    std::sort(restarts.begin(), restarts.end());
-    std::vector<bool> restart_used(restarts.size(), false);
-
+    const std::vector<std::optional<Duration>> ends = crash_restart_times(cfg);
     std::vector<DownInterval> down;
-    for (const auto& c : cfg.crash_schedule) {
+    for (std::size_t i = 0; i < cfg.crash_schedule.size(); ++i) {
+        const auto& c = cfg.crash_schedule[i];
         if (c.node >= cfg.n) {
             return "crash at " + fmt_s(c.at) + " names node " + std::to_string(c.node) +
                    " but n=" + std::to_string(cfg.n);
         }
-        DownInterval iv;
-        iv.node = c.node;
-        iv.start = c.at;
-        if (c.restart_after > Duration::zero()) {
-            iv.end = c.at + c.restart_after;
-        } else {
-            for (std::size_t r = 0; r < restarts.size(); ++r) {
-                if (!restart_used[r] && restarts[r].second == c.node &&
-                    restarts[r].first > c.at) {
-                    restart_used[r] = true;
-                    iv.end = restarts[r].first;
-                    break;
-                }
-            }
-        }
-        down.push_back(iv);
+        down.push_back({c.node, c.at, ends[i]});
     }
 
     // A node crashed while already down: the second power-loss is a no-op

@@ -1,4 +1,4 @@
-// Up-front chaos-schedule validation for single-consist scenarios.
+// Up-front chaos-schedule validation for one consist's fault schedules.
 //
 // A ScenarioConfig carries declarative fault schedules (crashes, explicit
 // restarts, link flaps, telegram-rate windows). A schedule that takes
@@ -20,10 +20,21 @@
 
 #include <optional>
 #include <string>
+#include <vector>
+
+#include "common/time.hpp"
 
 namespace zc::runtime {
 
 struct ScenarioConfig;
+
+/// When each `crash_schedule` entry's node comes back, in schedule
+/// order: `at + restart_after` for an auto-restarting crash, otherwise
+/// the earliest later explicit restart of the same node not already
+/// claimed by an earlier entry, or nullopt for a fail-stop crash that is
+/// never restarted. Validation and the liveness auditor's dark spans
+/// both read crash intervals through this one pairing.
+std::vector<std::optional<Duration>> crash_restart_times(const ScenarioConfig& config);
 
 /// Returns std::nullopt when the schedules are safe, otherwise a
 /// human-readable description of the first violation found:
@@ -35,8 +46,9 @@ struct ScenarioConfig;
 ///   * a node link-flap overlapping the node's down interval,
 ///   * rate windows that overlap, nest, or scale by a non-positive
 ///     factor.
-/// Scenario's constructor throws std::invalid_argument with this message
-/// unless `allow_unsafe_chaos` is set.
+/// TrainShard's constructor (so every Scenario and every fleet train)
+/// throws std::invalid_argument with this message unless
+/// `allow_unsafe_chaos` is set.
 std::optional<std::string> validate_scenario_faults(const ScenarioConfig& config);
 
 }  // namespace zc::runtime

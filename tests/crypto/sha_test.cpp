@@ -45,6 +45,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     }
 }
 
+TEST(Sha256, EmptyNullUpdateAfterPartialBlockIsANoOp) {
+    // update(nullptr, 0) with bytes already buffered must not touch the
+    // null pointer (memcpy from null is undefined even for zero bytes).
+    const Bytes msg = to_bytes("partial block");
+    Sha256 h;
+    h.update(BytesView{msg});
+    h.update(nullptr, 0);
+    EXPECT_EQ(h.finalize(), sha256(msg));
+}
+
 TEST(Sha256, PaddingBoundaries) {
     // Exercise message lengths around the 55/56/64-byte padding edges.
     for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
@@ -92,6 +102,14 @@ TEST(Sha512, IncrementalMatchesOneShot) {
         h.update(BytesView{msg.data() + split, msg.size() - split});
         EXPECT_EQ(h.finalize(), sha512(msg)) << "split at " << split;
     }
+}
+
+TEST(Sha512, EmptyNullUpdateAfterPartialBlockIsANoOp) {
+    const Bytes msg = to_bytes("partial block");
+    Sha512 h;
+    h.update(BytesView{msg});
+    h.update(nullptr, 0);
+    EXPECT_EQ(h.finalize(), sha512(msg));
 }
 
 TEST(Sha512, PaddingBoundaries) {

@@ -185,29 +185,27 @@ TEST(VerifyCacheKey, DistinguishesEveryInput) {
     EXPECT_NE(base, verify_cache_key("fast", a.pub, BytesView{msg1}, s2));
 }
 
-TEST(VerifyCache, LookupInsertCountersAndDisable) {
+TEST(VerifyCache, FindInsertAndDisable) {
     VerifyCache cache;
+    EXPECT_EQ(VerifyCache::kSlots, 131072u) << "capacity sets hit rate and resident memory";
     Digest k{};
     k[0] = 1;
-    bool ok = false;
-    EXPECT_FALSE(cache.lookup(k, ok));
+    EXPECT_EQ(cache.find(k), nullptr);
     cache.insert(k, true);
-    ASSERT_TRUE(cache.lookup(k, ok));
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.inserts(), 1u);
+    ASSERT_NE(cache.find(k), nullptr);
+    EXPECT_TRUE(*cache.find(k));
+    EXPECT_EQ(cache.size(), 1u);
 
     cache.set_enabled(false);
-    EXPECT_FALSE(cache.lookup(k, ok)) << "disabled lookups must miss";
+    EXPECT_EQ(cache.find(k), nullptr) << "disabled lookups must miss";
     Digest k2{};
     k2[0] = 2;
     cache.insert(k2, true);
     cache.set_enabled(true);
-    EXPECT_FALSE(cache.lookup(k2, ok)) << "disabled inserts are dropped";
+    EXPECT_EQ(cache.find(k2), nullptr) << "disabled inserts are dropped";
 
     cache.clear();
-    EXPECT_FALSE(cache.lookup(k, ok));
+    EXPECT_EQ(cache.find(k), nullptr);
 }
 
 TEST(CountingProvider, CountsCallsSignsAndUniqueTriples) {

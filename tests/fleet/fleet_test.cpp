@@ -47,6 +47,19 @@ void expect_shard_consistent(runtime::TrainShard& shard) {
     }
 }
 
+TEST(Fleet, RejectsByzantineNodeOutOfRangeOnTrainWithoutOverlay) {
+    // Every train's config is validated, not only trains with an overlay.
+    FleetConfig cfg = base_config(2);
+    cfg.byzantine[1][cfg.train.n] = *faults::profile_config("tamperer");
+    EXPECT_THROW(Fleet{cfg}, std::invalid_argument);
+}
+
+TEST(Fleet, RejectsByzantineEntryForOutOfRangeTrain) {
+    FleetConfig cfg = base_config(2);
+    cfg.byzantine[2][0] = *faults::profile_config("tamperer");
+    EXPECT_THROW(Fleet{cfg}, std::invalid_argument);
+}
+
 TEST(Fleet, SmallFleetRecordsAndExportsOnEveryShard) {
     Fleet fleet(base_config(3));
     fleet.run();

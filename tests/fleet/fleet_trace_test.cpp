@@ -78,6 +78,39 @@ TEST(FleetTrace, SameSeedSerializesByteIdentically) {
     EXPECT_EQ(run_traced(), run_traced());
 }
 
+/// Instant events named `name` recorded under `pid`.
+std::size_t count_events(const std::string& json, const std::string& name, unsigned pid) {
+    std::size_t n = 0;
+    const std::string needle = "{\"name\":\"" + name + "\"";
+    const std::string want = "\"pid\":" + std::to_string(pid) + ",";
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+        const std::size_t end = json.find('}', at);
+        if (json.substr(at, end - at).find(want) != std::string::npos) n += 1;
+    }
+    return n;
+}
+
+TEST(FleetTrace, OverlayNodeFlapTracesLinkDownAndUpOnTheTrainsPid) {
+    // A journey overlay's node flap goes through the same shard flap path
+    // as a single-consist flap, so it is traced under the train's pid.
+    trace::Tracer tracer(/*capture_events=*/true);
+    FleetConfig cfg = traced_config(&tracer);
+    cfg.trains = 2;
+    runtime::ScenarioConfig::LinkFlap flap;
+    flap.at = seconds(3);
+    flap.duration = seconds(2);
+    flap.link = runtime::ScenarioConfig::LinkFlap::Link::kNode;
+    flap.node = 2;
+    cfg.overlays[1].link_flaps.push_back(flap);
+    Fleet fleet(cfg);
+    fleet.run();
+    const std::string json = tracer.chrome_json();
+    EXPECT_EQ(count_events(json, "link_down", trace_pid(1, 2)), 1u);
+    EXPECT_EQ(count_events(json, "link_up", trace_pid(1, 2)), 1u);
+    EXPECT_EQ(count_events(json, "link_down", trace_pid(0, 2)), 0u) << "train 0 never flapped";
+}
+
 TEST(FleetTrace, OffsetSinkRemapsAllButNoNode) {
     trace::Tracer tracer(true);
     trace::OffsetSink offset(tracer, 2000);

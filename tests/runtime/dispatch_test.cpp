@@ -61,12 +61,10 @@ TEST_F(PrologueTest, TamperedSignatureIsCachedAsFalseAndRejected) {
     EXPECT_EQ(provider.calls(), 1u);
 
     // The negative verdict is in the cache under the verifier's key…
-    bool ok = true;
-    ASSERT_TRUE(crypto::global_verify_cache().lookup(
-        crypto::verify_cache_key(provider.name(), directory.key_of(2), BytesView{signing},
-                                 prepare->sig),
-        ok));
-    EXPECT_FALSE(ok);
+    const bool* cached = crypto::global_verify_cache().find(crypto::verify_cache_key(
+        provider.name(), directory.key_of(2), BytesView{signing}, prepare->sig));
+    ASSERT_NE(cached, nullptr);
+    EXPECT_FALSE(*cached);
 
     // …so another node rejects it too without calling the provider again.
     crypto::WorkMeter meter_b;
