@@ -78,8 +78,10 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(bl_m.rx_dropped), row.paper_lat,
                     row.paper_net);
 
-        bench_rows.push_back({"zugchain cycle=" + std::to_string(row.cycle_ms) + "ms", zc_m});
-        bench_rows.push_back({"baseline cycle=" + std::to_string(row.cycle_ms) + "ms", bl_m});
+        bench_rows.push_back(
+            {"zugchain cycle=" + std::to_string(row.cycle_ms) + "ms", zc_m, {}});
+        bench_rows.push_back(
+            {"baseline cycle=" + std::to_string(row.cycle_ms) + "ms", bl_m, {}});
     }
 
     print_footnote(
@@ -184,16 +186,18 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(m.net_dropped_corrupt));
         }
 
-        BenchRow row_un{"zugchain cycle=" + std::to_string(kSatCycleMs) + "ms batch=1", un};
-        row_un.extra = {{"batch", 1.0}, {"linger_us", 0.0}, {"reqs_per_s", unbatched_rate},
-                        {"batch_p50", p50_un}};
+        BenchRow row_un{"zugchain cycle=" + std::to_string(kSatCycleMs) + "ms batch=1", un,
+                        {{"batch", 1.0},
+                         {"linger_us", 0.0},
+                         {"reqs_per_s", unbatched_rate},
+                         {"batch_p50", p50_un}}};
         BenchRow row_ba{"zugchain cycle=" + std::to_string(kSatCycleMs) + "ms batch=" +
                             std::to_string(batch_size),
-                        ba};
-        row_ba.extra = {{"batch", static_cast<double>(batch_size)},
-                        {"linger_us", static_cast<double>(batch_linger_us)},
-                        {"reqs_per_s", batched_rate},
-                        {"batch_p50", p50_ba}};
+                        ba,
+                        {{"batch", static_cast<double>(batch_size)},
+                         {"linger_us", static_cast<double>(batch_linger_us)},
+                         {"reqs_per_s", batched_rate},
+                         {"batch_p50", p50_ba}}};
         bench_rows.push_back(std::move(row_un));
         bench_rows.push_back(std::move(row_ba));
     }

@@ -3,14 +3,16 @@
 // Safety says nothing wrong was recorded; liveness says recording
 // actually *happened* whenever the fault model allowed it. Given the
 // in-model fault schedule (crashes, restarts, partitions, uplink dead
-// zones — lowered by the harness into per-node "dark" spans), the
+// zones — lowered by runtime::TrainShard into per-node "dark" spans), the
 // auditor computes the quorum-capable windows: maximal spans where at
 // most f nodes were down or disconnected, i.e. where a 2f+1 quorum of
 // correct-and-connected replicas existed and PBFT promises progress.
 // Inside every such window (after a settle grace for view changes to
 // converge) it asserts bounded progress from periodic observations:
 //
-//   * the ordered height advances (the cluster decided new requests),
+//   * the ordered height advances (the cluster decided new requests) and
+//     never stands still for min_window (a burst followed by a freeze is
+//     a stall too),
 //   * the export backlog drains while the uplink and a DC are reachable,
 //   * a restarted node catches up to the cluster head within a bound.
 //
@@ -87,7 +89,8 @@ struct LivenessConfig {
     std::uint32_t f = 1;
 
     /// Quorum-capable windows shorter than settle + min_window are not
-    /// judged (a view change is allowed to eat the whole span).
+    /// judged (a view change is allowed to eat the whole span), and a
+    /// judged window may not order nothing for min_window on end.
     Duration min_window{seconds(8)};
     /// Grace at each window start for timers and view changes to settle.
     Duration settle{seconds(3)};
@@ -120,6 +123,7 @@ struct LivenessNodeObs {
 class LivenessAuditor {
 public:
     void configure(LivenessConfig cfg);
+    const LivenessConfig& config() const noexcept { return config_; }
     void set_trace(trace::TraceContext ctx) noexcept { trace_ = ctx; }
 
     /// Feeds the in-model fault schedule and computes the quorum-capable
@@ -140,6 +144,8 @@ public:
     const std::vector<std::pair<Duration, Duration>>& good_windows() const noexcept {
         return good_windows_;
     }
+    /// The uplink-dark spans export checks excuse, sorted by start.
+    const std::vector<UplinkDarkSpan>& uplink_dark() const noexcept { return uplink_dark_; }
 
 private:
     struct Sample {

@@ -218,9 +218,7 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
             byz == opts.byzantine.end() ? 0
                                         : static_cast<std::uint32_t>(byz->second.size());
         probe.f = byz_count >= opts.f ? 0 : opts.f - byz_count;
-        probe.link_flaps = out.trains[t].link_flaps;
-        probe.egress_ramps = out.trains[t].egress_ramps;
-        probe.cpu_profiles = out.trains[t].cpu_profiles;
+        probe.append(out.trains[t]);
         if (const auto err = runtime::validate_scenario_faults(probe)) {
             throw std::invalid_argument("gray compile: train " + std::to_string(t) + ": " +
                                         *err);
@@ -230,25 +228,11 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
 }
 
 void apply(const CompiledGray& gray, runtime::ScenarioConfig& cfg) {
-    if (gray.trains.empty()) return;
-    const GrayTrainPlan& plan = gray.trains.front();
-    cfg.link_flaps.insert(cfg.link_flaps.end(), plan.link_flaps.begin(),
-                          plan.link_flaps.end());
-    cfg.egress_ramps.insert(cfg.egress_ramps.end(), plan.egress_ramps.begin(),
-                            plan.egress_ramps.end());
-    for (const auto& [node, factor] : plan.cpu_profiles) cfg.cpu_profiles[node] = factor;
+    if (!gray.trains.empty()) cfg.append(gray.trains.front());
 }
 
 void apply(const CompiledGray& gray, FleetConfig& cfg) {
-    for (TrainId t = 0; t < gray.trains.size(); ++t) {
-        const GrayTrainPlan& plan = gray.trains[t];
-        FleetConfig::TrainOverlay& ov = cfg.overlays[t];
-        ov.link_flaps.insert(ov.link_flaps.end(), plan.link_flaps.begin(),
-                             plan.link_flaps.end());
-        ov.egress_ramps.insert(ov.egress_ramps.end(), plan.egress_ramps.begin(),
-                               plan.egress_ramps.end());
-        for (const auto& [node, factor] : plan.cpu_profiles) ov.cpu_profiles[node] = factor;
-    }
+    for (TrainId t = 0; t < gray.trains.size(); ++t) cfg.overlays[t].append(gray.trains[t]);
 }
 
 }  // namespace zc::fleet

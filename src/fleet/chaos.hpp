@@ -162,15 +162,12 @@ struct GrayChaosOptions {
     std::vector<GrayAvoidSpan> avoid;
 };
 
-/// Per-train gray schedule, ready to merge into a ScenarioConfig or a
-/// FleetConfig::TrainOverlay. Gray faults never count against the crash
-/// budget (the victims stay correct), but the emitted flaps/ramps are
-/// still probed through validate_scenario_faults.
-struct GrayTrainPlan {
-    std::vector<runtime::ScenarioConfig::LinkFlap> link_flaps;  ///< all asymmetric
-    std::vector<runtime::ScenarioConfig::EgressRamp> egress_ramps;
-    std::map<NodeId, double> cpu_profiles;
-};
+/// Per-train gray schedule (asymmetric link flaps, egress ramps, cpu
+/// profiles), ready to append to a ScenarioConfig or a train overlay.
+/// Gray faults never count against the crash budget (the victims stay
+/// correct), but the emitted flaps/ramps are still probed through
+/// validate_scenario_faults.
+using GrayTrainPlan = runtime::TrainSchedules;
 
 struct CompiledGray {
     std::vector<GrayTrainPlan> trains;  ///< index = train id

@@ -1,21 +1,72 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
 #include "prof/prof.hpp"
 
 namespace zc::fleet {
 
+namespace {
+
+/// Rejects a config entry naming `value` when it must stay below `limit`.
+void require_below(std::uint32_t value, std::uint32_t limit, const std::string& what,
+                   const char* bound) {
+    if (value >= limit) {
+        throw std::invalid_argument(what + " " + std::to_string(value) + " but " + bound + "=" +
+                                    std::to_string(limit));
+    }
+}
+
+/// Spans in which every data center is down under the chaos plan (an
+/// outage with duration 0 lasts to the horizon): no shard reaches an
+/// archive, so the liveness auditors excuse stalled exports there.
+std::vector<faults::UplinkDarkSpan> all_dcs_down(const FleetConfig& cfg) {
+    const auto end_of = [&cfg](const FleetChaos::DcOutage& o) {
+        return o.duration > Duration::zero() ? o.at + o.duration : cfg.warmup + cfg.duration;
+    };
+    std::vector<Duration> cuts;
+    for (const auto& o : cfg.chaos.dc_outages) {
+        cuts.push_back(o.at);
+        cuts.push_back(end_of(o));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<faults::UplinkDarkSpan> out;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+        std::set<DataCenterId> down;
+        for (const auto& o : cfg.chaos.dc_outages) {
+            if (o.at <= cuts[i] && cuts[i] < end_of(o)) down.insert(o.dc);
+        }
+        if (down.size() < cfg.dc_count || cuts[i] == cuts[i + 1]) continue;
+        if (!out.empty() && out.back().to == cuts[i]) {
+            out.back().to = cuts[i + 1];
+        } else {
+            out.push_back({cuts[i], cuts[i + 1]});
+        }
+    }
+    return out;
+}
+
+}  // namespace
+
 Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)), sim_(config_.seed),
       provider_(crypto::make_provider(config_.train.crypto_provider)) {
     if (config_.trains == 0) throw std::invalid_argument("fleet needs at least one train");
+    const std::uint32_t trains = config_.trains;
     for (const auto& [t, nodes] : config_.byzantine) {
-        if (t >= config_.trains) {
-            throw std::invalid_argument("byzantine entry names train " + std::to_string(t) +
-                                        " but trains=" + std::to_string(config_.trains));
-        }
+        require_below(t, trains, "byzantine entry names train", "trains");
+    }
+    for (const auto& c : config_.chaos.crashes) {
+        require_below(c.train, trains, "chaos crash names train", "trains");
+        require_below(c.node, config_.train.n, "chaos crash names node", "n");
+    }
+    for (const auto& z : config_.chaos.dead_zones) {
+        require_below(z.train, trains, "dead zone names train", "trains");
+    }
+    for (const auto& o : config_.chaos.dc_outages) {
+        require_below(o.dc, config_.dc_count, "dc outage names dc", "dc_count");
     }
     build();
 }
@@ -33,11 +84,23 @@ void Fleet::build() {
         dc_keys_.push_back(provider_->generate(dcrng));
     }
 
+    // Per-train watchdogs: exports are watched, with the backlog threshold
+    // scaled to the export cadence.
+    const health::MonitorConfig monitor_cfg = config_.monitor.watching_exports(
+        config_.dc_count, config_.export_period,
+        config_.train.bus_cycle * static_cast<std::int64_t>(config_.train.block_size));
+    const std::vector<faults::UplinkDarkSpan> dcs_dark = all_dcs_down(config_);
+
     // Shards, in train order (construction order is part of the replay).
+    constexpr auto kLte = runtime::ScenarioConfig::LinkFlap::Link::kLte;
     for (TrainId t = 0; t < config_.trains; ++t) {
         networks_.push_back(std::make_unique<net::Network>(sim_));
 
         if (config_.audit) auditors_.push_back(std::make_unique<faults::SafetyAuditor>());
+        if (config_.audit_liveness) {
+            liveness_.push_back(std::make_unique<faults::LivenessAuditor>());
+        }
+        monitors_.push_back(std::make_unique<health::HealthMonitor>(monitor_cfg));
 
         runtime::ScenarioConfig cfg = config_.train;
         cfg.seed = config_.seed;
@@ -53,7 +116,8 @@ void Fleet::build() {
             cfg.store_root = *config_.store_root / ("train-" + std::to_string(t));
         }
         cfg.auditor = config_.audit ? auditors_.back().get() : nullptr;
-        cfg.health_monitor = nullptr;       // the fleet drives sampling itself
+        cfg.liveness = config_.audit_liveness ? liveness_.back().get() : nullptr;
+        cfg.health_monitor = monitors_.back().get();
         cfg.health_timeseries = nullptr;
         // Shard trace events are remapped into the train's pid band so a
         // single Tracer yields one merged fleet trace (see trace_pid()).
@@ -71,18 +135,19 @@ void Fleet::build() {
         const auto byz = config_.byzantine.find(t);
         if (byz != config_.byzantine.end()) cfg.byzantine = byz->second;
         // Shard-local fault and timetable schedules come from the train's
-        // overlay (none without one), never from the per-train template.
-        // The shard validates and schedules them like any consist's.
-        static const FleetConfig::TrainOverlay kNoOverlay;
-        const auto found = config_.overlays.find(t);
-        const FleetConfig::TrainOverlay& overlay =
-            found != config_.overlays.end() ? found->second : kNoOverlay;
-        cfg.crash_schedule = overlay.crash_schedule;
-        cfg.restart_schedule = overlay.restart_schedule;
-        cfg.link_flaps = overlay.link_flaps;
-        cfg.rate_windows = overlay.rate_windows;
-        cfg.cpu_profiles = overlay.cpu_profiles;
-        cfg.egress_ramps = overlay.egress_ramps;
+        // fleet chaos and its overlay (none without either), never from
+        // the per-train template. The shard validates and schedules them
+        // like any consist's; a dead zone is an LTE flap.
+        runtime::TrainSchedules& schedules = cfg;
+        schedules = {};
+        for (const auto& c : config_.chaos.crashes) {
+            if (c.train == t) schedules.crash_schedule.emplace_back(c.at, c.node, c.restart_after);
+        }
+        for (const auto& z : config_.chaos.dead_zones) {
+            if (z.train == t) schedules.link_flaps.push_back({z.at, z.duration, kLte, 0, false});
+        }
+        const auto overlay = config_.overlays.find(t);
+        if (overlay != config_.overlays.end()) schedules.append(overlay->second);
 
         runtime::ShardEnv env;
         env.sim = &sim_;
@@ -90,6 +155,7 @@ void Fleet::build() {
         env.provider = provider_.get();
         env.rng_label = "train-" + std::to_string(t) + "-";
         env.dc_keys = &dc_keys_;
+        env.uplink_dark = dcs_dark;
         shards_.push_back(std::make_unique<runtime::TrainShard>(cfg, std::move(env)));
     }
 
@@ -102,83 +168,50 @@ void Fleet::build() {
         for (TrainId t = 0; t < config_.trains; ++t) dcs_.back()->add_shard(t, *shards_[t]);
     }
 
-    // Fleet chaos plan.
-    for (const auto& c : config_.chaos.crashes) {
-        if (c.train >= config_.trains || c.node >= config_.train.n) continue;
-        sim_.schedule(c.at, [this, c] { shards_[c.train]->crash_node(c.node); });
-        if (c.restart_after > Duration::zero()) {
-            sim_.schedule(c.at + c.restart_after,
-                          [this, c] { shards_[c.train]->restart_node(c.node); });
-        }
-    }
-    for (const auto& z : config_.chaos.dead_zones) {
-        if (z.train >= config_.trains) continue;
-        runtime::TrainShard* shard = shards_[z.train].get();
-        sim_.schedule(z.at, [shard] { shard->set_uplink_blocked(true); });
-        sim_.schedule(z.at + z.duration, [shard] { shard->set_uplink_blocked(false); });
-    }
+    // Data-center outages (train-level chaos is in the shards' schedules).
     for (const auto& o : config_.chaos.dc_outages) {
-        if (o.dc >= config_.dc_count) continue;
         sim_.schedule(o.at, [this, o] { dcs_[o.dc]->set_down(true); });
         if (o.duration > Duration::zero()) {
             sim_.schedule(o.at + o.duration, [this, o] { dcs_[o.dc]->set_down(false); });
         }
     }
 
-    // Per-train fault schedules (journey overlays), in train order.
+    // Per-train fault schedules (fleet chaos + overlays), in train order.
     for (auto& shard : shards_) shard->schedule_faults();
 
-    // Staggered periodic exports.
+    // Staggered periodic exports: prefer "our" company's DC, fail over to
+    // the next one that is up.
     if (config_.dc_count > 0 && config_.export_period > Duration::zero()) {
         const Duration stagger =
             config_.export_period / static_cast<std::int64_t>(config_.trains);
         for (TrainId t = 0; t < config_.trains; ++t) {
-            sim_.schedule(config_.warmup + stagger * static_cast<std::int64_t>(t),
-                          [this, t] { export_tick(t); });
+            sim_.every(config_.warmup + stagger * static_cast<std::int64_t>(t),
+                       config_.export_period, [this, t] {
+                           for (std::uint32_t k = 0; k < config_.dc_count; ++k) {
+                               FleetDataCenter& dc = *dcs_[(t + k) % config_.dc_count];
+                               if (dc.down()) continue;
+                               if (!dc.exporting(t)) dc.start_export(t);
+                               break;
+                           }
+                       });
         }
     }
 
     for (TrainId t = 0; t < config_.trains; ++t) shards_[t]->start();
 
-    // Health: per-shard watchdogs on one lock-step cadence + the rollup.
-    if (config_.monitors) {
-        health::MonitorConfig mc = config_.monitor;
-        mc.watch_export = config_.dc_count > 0;
-        if (config_.auto_export_thresholds && config_.dc_count > 0) {
-            // A fleet legitimately backs up one export period of blocks
-            // between rounds; alarm only when several periods pile up.
-            const std::int64_t blocks_per_period =
-                config_.export_period.count() /
-                std::max<std::int64_t>(
-                    config_.train.bus_cycle.count() *
-                        static_cast<std::int64_t>(config_.train.block_size),
-                    1);
-            mc.export_backlog_min_blocks =
-                std::max<std::uint64_t>(mc.export_backlog_min_blocks,
-                                        static_cast<std::uint64_t>(4 * blocks_per_period));
-        }
-        for (TrainId t = 0; t < config_.trains; ++t) {
-            monitors_.push_back(std::make_unique<health::HealthMonitor>(mc));
-        }
-    }
+    // One fleet-wide event per cadence ticks every shard: health samples
+    // feed the watchdogs and the rollup, then the audits.
     if (config_.sample_period > Duration::zero()) {
         sim_.schedule(config_.sample_period, [this] { sample_tick(); });
     }
-
-    if (config_.audit && config_.audit_period > Duration::zero()) {
-        sim_.schedule(config_.audit_period, [this] { audit_tick(); });
+    if (config_.audit && config_.train.audit_period > Duration::zero()) {
+        sim_.every(config_.train.audit_period, [this] { run_audit(); });
     }
-}
-
-void Fleet::export_tick(TrainId train) {
-    // Prefer "our" company's DC, fail over to the next one that is up.
-    for (std::uint32_t k = 0; k < config_.dc_count; ++k) {
-        const DataCenterId d = (train + k) % config_.dc_count;
-        if (dcs_[d]->down()) continue;
-        if (!dcs_[d]->exporting(train)) dcs_[d]->start_export(train);
-        break;
+    if (config_.audit_liveness && config_.train.liveness_period > Duration::zero()) {
+        sim_.every(config_.train.liveness_period, [this] {
+            for (auto& shard : shards_) shard->observe_liveness();
+        });
     }
-    sim_.schedule(config_.export_period, [this, train] { export_tick(train); });
 }
 
 void Fleet::sample_tick() {
@@ -188,33 +221,15 @@ void Fleet::sample_tick() {
     FleetSample row;
     row.at = sim_.now();
     row.trains = config_.trains;
-    std::vector<health::NodeSample> samples;
-    for (TrainId t = 0; t < config_.trains; ++t) {
-        samples.clear();
-        Height head = 0;
-        Height base = 0;
-        std::uint64_t logged = 0;
-        for (std::size_t i = 0; i < shards_[t]->node_count(); ++i) {
-            samples.push_back(shards_[t]->snapshot_node(i));
-            const health::NodeSample& s = samples.back();
-            if (s.alive) row.nodes_alive += 1;
-            if (s.head_height >= head) {
-                head = s.head_height;
-                base = std::max<Height>(base, s.base_height);
-            }
-            logged = std::max(logged, s.logged);
-        }
-        if (!monitors_.empty()) monitors_[t]->sample(sim_.now(), samples);
-        row.head_sum += head;
-        row.logged_sum += logged;
-        row.backlog_sum += head - std::min(base, head);
+    for (const auto& shard : shards_) {
+        const runtime::TrainSample s = shard->check_health();
+        row.nodes_alive += s.alive;
+        row.head_sum += s.head;
+        row.logged_sum += s.logged;
+        row.backlog_sum += s.backlog;
     }
     row.exported_sum = index_.unique_blocks();
-    for (const auto& monitor : monitors_) {
-        for (const health::Alarm& a : monitor->alarms()) {
-            if (!a.cleared) row.active_alarms += 1;
-        }
-    }
+    for (const auto& monitor : monitors_) row.active_alarms += monitor->active_alarms();
     for (const auto& dc : dcs_) {
         row.ingest_depth += dc->ingest_queue_depth();
         row.ingest_dropped += dc->ingest_dropped();
@@ -223,34 +238,8 @@ void Fleet::sample_tick() {
     sim_.schedule(config_.sample_period, [this] { sample_tick(); });
 }
 
-void Fleet::audit_shard(TrainId train) {
-    ZC_PROF_SCOPE(kAudit);
-    std::vector<faults::ReplicaView> replicas = shards_[train]->replica_views();
-    std::vector<faults::DataCenterView> dcs;
-    dcs.reserve(dcs_.size());
-    for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        faults::DataCenterView view;
-        view.id = d;
-        view.store = &dcs_[d]->core(train).store();
-        view.proof = dcs_[d]->core(train).last_proof();
-        dcs.push_back(view);
-    }
-    auditors_[train]->audit(replicas, dcs);
-}
-
-std::uint64_t Fleet::run_audit() {
-    if (!config_.audit) return 0;
-    std::uint64_t violations = 0;
-    for (TrainId t = 0; t < config_.trains; ++t) {
-        audit_shard(t);
-        violations += auditors_[t]->report().violations.size();
-    }
-    return violations;
-}
-
-void Fleet::audit_tick() {
-    for (TrainId t = 0; t < config_.trains; ++t) audit_shard(t);
-    sim_.schedule(config_.audit_period, [this] { audit_tick(); });
+void Fleet::run_audit() {
+    for (auto& shard : shards_) shard->audit();
 }
 
 void Fleet::run() {
@@ -258,16 +247,19 @@ void Fleet::run() {
     stop_sampling_ = true;
     for (auto& dc : dcs_) dc->observe_all();
     run_audit();
+    for (auto& live : liveness_) live->finish(sim_.now());
 }
 
 void Fleet::run_for(Duration d) { sim_.run_until(sim_.now() + d); }
 
-const health::HealthMonitor* Fleet::monitor(TrainId t) const {
-    return monitors_.empty() ? nullptr : monitors_.at(t).get();
+const health::HealthMonitor* Fleet::monitor(TrainId t) const { return monitors_.at(t).get(); }
+
+faults::SafetyAuditor* Fleet::auditor(TrainId t) {
+    return auditors_.empty() ? nullptr : auditors_.at(t).get();
 }
 
-const faults::SafetyAuditor* Fleet::auditor(TrainId t) const {
-    return auditors_.empty() ? nullptr : auditors_.at(t).get();
+const faults::LivenessAuditor* Fleet::liveness(TrainId t) const {
+    return liveness_.empty() ? nullptr : liveness_.at(t).get();
 }
 
 FleetReport Fleet::report() {
@@ -292,12 +284,10 @@ FleetReport Fleet::report() {
     for (TrainId t = 0; t < config_.trains; ++t) {
         TrainReport tr;
         tr.train = t;
-        for (std::size_t i = 0; i < shards_[t]->node_count(); ++i) {
-            const health::NodeSample s = shards_[t]->snapshot_node(i);
-            if (s.alive) tr.nodes_alive += 1;
-            tr.head = std::max<Height>(tr.head, s.head_height);
-            tr.logged = std::max(tr.logged, s.logged);
-        }
+        const runtime::TrainSample s = shards_[t]->sample();
+        tr.nodes_alive = s.alive;
+        tr.head = s.head;
+        tr.logged = s.logged;
         const auto entry = index_.trains().find(t);
         if (entry != index_.trains().end()) tr.exported_head = entry->second.head;
         for (const auto& dc : dcs_) {
@@ -305,15 +295,15 @@ FleetReport Fleet::report() {
             tr.exports_completed += s.exports_completed;
             tr.exports_failed += s.exports_failed;
         }
-        if (!monitors_.empty()) {
-            for (const health::Alarm& a : monitors_[t]->alarms()) {
-                if (!a.cleared) tr.active_alarms += 1;
-            }
-        }
+        tr.active_alarms = monitors_[t]->active_alarms();
         if (config_.audit) {
             tr.audit_violations = auditors_[t]->report().violations.size();
         }
+        if (config_.audit_liveness) {
+            tr.liveness_violations = liveness_[t]->report().violations.size();
+        }
         out.audit_violations += tr.audit_violations;
+        out.liveness_violations += tr.liveness_violations;
         out.head_sum += tr.head;
         out.logged_sum += tr.logged;
         out.per_train.push_back(tr);
@@ -327,30 +317,32 @@ std::string FleetReport::json() const {
                   "{\"trains\":%u,\"dc_count\":%u,\"elapsed_s\":%.3f", trains, dc_count,
                   elapsed_s);
     std::string out = buf;
-    out += ",\"logged_sum\":" + std::to_string(logged_sum);
-    out += ",\"head_sum\":" + std::to_string(head_sum);
-    out += ",\"exported_unique\":" + std::to_string(exported_unique);
-    out += ",\"exported_duplicates\":" + std::to_string(exported_duplicates);
-    out += ",\"cross_shard_collisions\":" + std::to_string(cross_shard_collisions);
-    out += ",\"exports_completed\":" + std::to_string(exports_completed);
-    out += ",\"exports_failed\":" + std::to_string(exports_failed);
-    out += ",\"ingest_dropped\":" + std::to_string(ingest_dropped);
-    out += ",\"audit_violations\":" + std::to_string(audit_violations);
-    out += ",\"alarms\":" + alarms.json();
-    out += ",\"per_train\":[";
-    bool first = true;
+    const auto field = [&out](const char* key, std::uint64_t value) {
+        out += std::string(",\"") + key + "\":" + std::to_string(value);
+    };
+    field("logged_sum", logged_sum);
+    field("head_sum", head_sum);
+    field("exported_unique", exported_unique);
+    field("exported_duplicates", exported_duplicates);
+    field("cross_shard_collisions", cross_shard_collisions);
+    field("exports_completed", exports_completed);
+    field("exports_failed", exports_failed);
+    field("ingest_dropped", ingest_dropped);
+    field("audit_violations", audit_violations);
+    field("liveness_violations", liveness_violations);
+    out += ",\"alarms\":" + alarms.json() + ",\"per_train\":[";
     for (const TrainReport& t : per_train) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"train\":" + std::to_string(t.train);
-        out += ",\"nodes_alive\":" + std::to_string(t.nodes_alive);
-        out += ",\"head\":" + std::to_string(t.head);
-        out += ",\"logged\":" + std::to_string(t.logged);
-        out += ",\"exported_head\":" + std::to_string(t.exported_head);
-        out += ",\"exports_completed\":" + std::to_string(t.exports_completed);
-        out += ",\"exports_failed\":" + std::to_string(t.exports_failed);
-        out += ",\"active_alarms\":" + std::to_string(t.active_alarms);
-        out += ",\"audit_violations\":" + std::to_string(t.audit_violations);
+        out += std::string(&t == per_train.data() ? "" : ",") +
+               "{\"train\":" + std::to_string(t.train);
+        field("nodes_alive", t.nodes_alive);
+        field("head", t.head);
+        field("logged", t.logged);
+        field("exported_head", t.exported_head);
+        field("exports_completed", t.exports_completed);
+        field("exports_failed", t.exports_failed);
+        field("active_alarms", t.active_alarms);
+        field("audit_violations", t.audit_violations);
+        field("liveness_violations", t.liveness_violations);
         out += "}";
     }
     out += "]}";

@@ -15,8 +15,11 @@
 //     key directory.
 //   * FleetIndex: the cross-fleet archive index (dedup by block hash,
 //     keyed by train id; cross-shard collisions pinned to zero).
-//   * Per-shard HealthMonitors + a FleetRollup time series; per-shard
-//     SafetyAuditors when auditing is on.
+//   * Per-train HealthMonitors + a FleetRollup time series; per-train
+//     SafetyAuditors and LivenessAuditors when those audits are on. Each
+//     shard runs its own checks (runtime::TrainShard::audit,
+//     check_health, observe_liveness); the fleet owns the observers and
+//     ticks every shard on one fleet-wide cadence per check.
 //
 // Determinism strategy: construction order is fixed (DC keys, then shards
 // in train order, then DCs in id order adding shards in train order);
@@ -43,11 +46,12 @@ struct FleetConfig {
     std::uint64_t seed = 1;
 
     /// Per-shard template. Fleet overrides, per shard: store_root
-    /// (store_root/train-<t>), auditor/byzantine wiring, delete_quorum
-    /// (clamped to dc_count), dc_count (from the fleet), the LTE link
-    /// (its per-cell bandwidth share) and the fault schedules (from the
-    /// train's overlay). Health pointers inside the template are ignored
-    /// — the fleet drives sampling, chaos and audits itself.
+    /// (store_root/train-<t>), the auditor, liveness and health pointers
+    /// (the fleet's own per-train observers), byzantine wiring,
+    /// delete_quorum (clamped to dc_count), dc_count (from the fleet), the
+    /// LTE link (its per-cell bandwidth share) and the fault schedules
+    /// (the train's overlay plus its fleet chaos). `audit_period` and
+    /// `liveness_period` set the fleet-wide audit cadences.
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
@@ -72,42 +76,38 @@ struct FleetConfig {
     /// (inspectable with zc_inspect --store-dir store_root).
     std::optional<std::filesystem::path> store_root;
 
-    /// Fleet health sampling cadence (per-shard monitors + rollup rows).
-    bool monitors = true;
+    /// Fleet health sampling cadence (per-train monitors + rollup rows).
+    /// The monitors watch exports with the backlog threshold scaled to
+    /// `export_period` (see MonitorConfig::watching_exports).
     Duration sample_period{milliseconds(256)};
     health::MonitorConfig monitor;
 
-    /// Scale the export-backlog watchdog to the export cadence (a fleet
-    /// legitimately accumulates a period's worth of blocks between
-    /// rounds; the single-consist default of 64 blocks would cry wolf).
-    bool auto_export_thresholds = true;
-
-    /// Per-shard safety auditors + a final audit pass in run().
+    /// Per-train safety auditors + a final audit pass in run().
     bool audit = false;
-    Duration audit_period{seconds(5)};
+
+    /// Per-train liveness auditors, observed every
+    /// `train.liveness_period` and finished in run().
+    bool audit_liveness = false;
 
     /// Per-train Byzantine knobs (train -> node -> behaviour). A train
     /// >= trains or a node >= n is rejected at construction.
     std::map<TrainId, std::map<NodeId, runtime::ByzantineBehavior>> byzantine;
 
+    /// Fleet-level chaos. Crashes and dead zones (LTE flaps) go into their
+    /// train's schedules ahead of its overlay; DC outages stay here, and
+    /// all-DCs-down spans reach every shard's liveness auditor as
+    /// uplink-dark. Entries naming an unknown train, node or DC throw.
     FleetChaos chaos;
 
     /// Per-train journey overlay: shard-local fault and timetable
     /// schedules, typically compiled from a journey plan (src/journey).
     /// Unlike the template's schedules (which the fleet ignores), an
-    /// overlay is copied into exactly its train's config, and that
+    /// overlay is appended to exactly its train's config, and that
     /// train's TrainShard validates it against the f budget
     /// (validate_scenario_faults, unless the template sets
     /// allow_unsafe_chaos) and schedules it like any consist's. An LTE
     /// flap is the train's dead zone.
-    struct TrainOverlay {
-        std::vector<runtime::ScenarioConfig::CrashEntry> crash_schedule;
-        std::vector<std::pair<Duration, NodeId>> restart_schedule;
-        std::vector<runtime::ScenarioConfig::LinkFlap> link_flaps;
-        std::vector<runtime::ScenarioConfig::RateWindow> rate_windows;
-        std::map<NodeId, double> cpu_profiles;
-        std::vector<runtime::ScenarioConfig::EgressRamp> egress_ramps;
-    };
+    using TrainOverlay = runtime::TrainSchedules;
     std::map<TrainId, TrainOverlay> overlays;
 
     trace::TraceSink* trace_sink = nullptr;
@@ -132,6 +132,7 @@ struct TrainReport {
     std::uint64_t exports_failed = 0;
     std::uint64_t active_alarms = 0;
     std::uint64_t audit_violations = 0;
+    std::uint64_t liveness_violations = 0;
 };
 
 struct FleetReport {
@@ -147,6 +148,7 @@ struct FleetReport {
     std::uint64_t exports_failed = 0;
     std::uint64_t ingest_dropped = 0;
     std::uint64_t audit_violations = 0;
+    std::uint64_t liveness_violations = 0;
     FleetAlarmSummary alarms;
     std::vector<TrainReport> per_train;
 
@@ -163,7 +165,7 @@ public:
     Fleet& operator=(const Fleet&) = delete;
 
     /// Runs warmup + duration, then a final index sweep and (if enabled)
-    /// a final audit pass on every shard.
+    /// a final audit pass and liveness finish on every shard.
     void run();
 
     /// Continues the simulation for ad-hoc experiment logic.
@@ -172,8 +174,7 @@ public:
     FleetReport report();
 
     /// One audit pass over every shard (no-op unless auditing is on).
-    /// Returns the fleet-wide violation count so far.
-    std::uint64_t run_audit();
+    void run_audit();
 
     runtime::TrainShard& shard(TrainId t) { return *shards_.at(t); }
     std::uint32_t train_count() const noexcept { return config_.trains; }
@@ -182,22 +183,17 @@ public:
     const FleetIndex& index() const noexcept { return index_; }
     const FleetRollup& rollup() const noexcept { return rollup_; }
     const health::HealthMonitor* monitor(TrainId t) const;
-    const faults::SafetyAuditor* auditor(TrainId t) const;
-    /// Mutable auditor handle (the soak runner compacts tap state between
-    /// segments); null when auditing is off.
-    faults::SafetyAuditor* auditor_handle(TrainId t) {
-        return t < auditors_.size() ? auditors_[t].get() : nullptr;
-    }
+    /// Null when safety auditing is off (mutable: the soak runner compacts
+    /// tap state between segments).
+    faults::SafetyAuditor* auditor(TrainId t);
+    /// Null when liveness auditing is off.
+    const faults::LivenessAuditor* liveness(TrainId t) const;
     sim::Simulation& sim() noexcept { return sim_; }
-    net::Network& network(TrainId t) { return *networks_.at(t); }
     const FleetConfig& config() const noexcept { return config_; }
 
 private:
     void build();
-    void export_tick(TrainId train);
     void sample_tick();
-    void audit_tick();
-    void audit_shard(TrainId train);
 
     FleetConfig config_;
     sim::Simulation sim_;
@@ -206,10 +202,11 @@ private:
     std::vector<std::unique_ptr<net::Network>> networks_;
     std::vector<std::unique_ptr<trace::OffsetSink>> shard_sinks_;
     std::vector<std::unique_ptr<faults::SafetyAuditor>> auditors_;
+    std::vector<std::unique_ptr<faults::LivenessAuditor>> liveness_;
+    std::vector<std::unique_ptr<health::HealthMonitor>> monitors_;
     std::vector<std::unique_ptr<runtime::TrainShard>> shards_;
     FleetIndex index_;
     std::vector<std::unique_ptr<FleetDataCenter>> dcs_;
-    std::vector<std::unique_ptr<health::HealthMonitor>> monitors_;
     FleetRollup rollup_;
     bool stop_sampling_ = false;
 };

@@ -88,10 +88,6 @@ void FleetDataCenter::observe_all() {
 
 exporter::DataCenter& FleetDataCenter::core(TrainId train) { return ports_.at(train)->dc(); }
 
-const exporter::DataCenter& FleetDataCenter::core(TrainId train) const {
-    return ports_.at(train)->dc();
-}
-
 FleetDataCenter::Totals FleetDataCenter::totals() const {
     Totals t;
     for (const auto& port : ports_) {

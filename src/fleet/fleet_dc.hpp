@@ -104,9 +104,7 @@ public:
     void observe_all();
 
     exporter::DataCenter& core(TrainId train);
-    const exporter::DataCenter& core(TrainId train) const;
     DataCenterId id() const noexcept { return config_.id; }
-    std::size_t shard_count() const noexcept { return ports_.size(); }
 
     std::uint64_t ingest_dropped() const noexcept { return executor_.dropped(); }
     std::size_t ingest_queue_depth() const noexcept { return executor_.queue_depth(); }

@@ -8,6 +8,19 @@
 
 namespace zc::health {
 
+MonitorConfig MonitorConfig::watching_exports(std::uint32_t dc_count, Duration export_period,
+                                              Duration block_interval) const {
+    MonitorConfig out = *this;
+    out.watch_export = dc_count > 0;
+    if (dc_count > 0) {
+        const std::int64_t blocks_per_period =
+            export_period.count() / std::max<std::int64_t>(block_interval.count(), 1);
+        out.export_backlog_min_blocks = std::max<std::uint64_t>(
+            out.export_backlog_min_blocks, static_cast<std::uint64_t>(4 * blocks_per_period));
+    }
+    return out;
+}
+
 HealthMonitor::HealthMonitor(MonitorConfig config) : config_(config) {}
 
 void HealthMonitor::fire(NodeId node, AlarmKind kind, TimePoint now, std::string detail) {

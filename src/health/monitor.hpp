@@ -32,6 +32,7 @@
 // samples, same alarms, byte-equal reports.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -97,6 +98,13 @@ struct MonitorConfig {
     /// Rejoin stalled: samples a restarted node may spend behind the
     /// catch-up line before the rejoin-stalled alarm fires.
     std::uint32_t rejoin_stalled_samples = 12;
+
+    /// This config watching exports when there are data centers, with the
+    /// backlog minimum raised to four export periods' worth of blocks (a
+    /// `block_interval` = bus cycle x block size): periodic exports let
+    /// one period of blocks pile up between rounds legitimately.
+    MonitorConfig watching_exports(std::uint32_t dc_count, Duration export_period,
+                                   Duration block_interval) const;
 };
 
 class HealthMonitor {
@@ -116,15 +124,14 @@ public:
     const std::vector<Alarm>& alarms() const noexcept { return alarms_; }
     bool alarmed() const noexcept { return !alarms_.empty(); }
 
-    /// True while at least one alarm has fired and not cleared. A run
-    /// whose every alarm cleared (e.g. a scheduled crash followed by a
-    /// successful rejoin) counts as healthy again.
-    bool any_active() const noexcept {
-        for (const Alarm& a : alarms_) {
-            if (!a.cleared) return true;
-        }
-        return false;
+    /// Alarms fired and not cleared. A run whose every alarm cleared (e.g.
+    /// a scheduled crash followed by a successful rejoin) counts as
+    /// healthy again.
+    std::uint64_t active_alarms() const noexcept {
+        return static_cast<std::uint64_t>(std::count_if(
+            alarms_.begin(), alarms_.end(), [](const Alarm& a) { return !a.cleared; }));
     }
+    bool any_active() const noexcept { return active_alarms() > 0; }
     std::uint64_t samples_taken() const noexcept { return samples_; }
     const MonitorConfig& config() const noexcept { return config_; }
 

@@ -221,10 +221,7 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
         probe.n = opts.n;
         const std::uint32_t byz = byz_count(t);
         probe.f = byz >= opts.f ? 0 : opts.f - byz;
-        probe.crash_schedule = ov.crash_schedule;
-        probe.restart_schedule = ov.restart_schedule;
-        probe.link_flaps = ov.link_flaps;
-        probe.rate_windows = ov.rate_windows;
+        probe.append(ov);
         if (const auto err = runtime::validate_scenario_faults(probe)) {
             throw std::invalid_argument("journey compile: train " + std::to_string(t) + ": " +
                                         *err);
@@ -254,16 +251,7 @@ std::string CompiledJourney::summary() const {
 }
 
 void apply(const CompiledJourney& compiled, runtime::ScenarioConfig& cfg) {
-    if (compiled.overlays.empty()) return;
-    const auto& ov = compiled.overlays.front();
-    cfg.crash_schedule.insert(cfg.crash_schedule.end(), ov.crash_schedule.begin(),
-                              ov.crash_schedule.end());
-    cfg.restart_schedule.insert(cfg.restart_schedule.end(), ov.restart_schedule.begin(),
-                                ov.restart_schedule.end());
-    cfg.link_flaps.insert(cfg.link_flaps.end(), ov.link_flaps.begin(), ov.link_flaps.end());
-    cfg.rate_windows.insert(cfg.rate_windows.end(), ov.rate_windows.begin(),
-                            ov.rate_windows.end());
-    for (const auto& [node, factor] : ov.cpu_profiles) cfg.cpu_profiles[node] = factor;
+    if (!compiled.overlays.empty()) cfg.append(compiled.overlays.front());
 }
 
 void apply(const CompiledJourney& compiled, fleet::FleetConfig& cfg) {

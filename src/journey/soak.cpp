@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -43,22 +42,6 @@ std::string fmt_window(Duration d) {
 }
 
 double mb(std::int64_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
-
-/// Single-consist mode has no fleet exporter loop, so the soak schedules
-/// its own: one staggered ticker per data center, re-arming itself every
-/// period (a round already in flight is left alone — starting is a
-/// no-op, and retries own the backoff).
-struct ExportTicker {
-    runtime::Scenario* scenario = nullptr;
-    std::size_t dc = 0;
-    Duration period{0};
-
-    void fire() {
-        auto& d = scenario->data_center(dc);
-        if (!d.exporting()) d.start_export();
-        scenario->sim().schedule(period, [this] { fire(); });
-    }
-};
 
 }  // namespace
 
@@ -198,20 +181,21 @@ SoakReport run_soak(const SoakOptions& options) {
     rep.segment_length = options.segment;
     for (const RecipeInstance& r : compiled.recipes) rep.recipes.push_back(r.describe());
 
-    // -- build the harness (mode-specific, probed through closures) --
+    // -- build the harness (mode-specific; probed through its shards) --
     std::unique_ptr<faults::SafetyAuditor> single_auditor;
     std::unique_ptr<health::HealthMonitor> single_monitor;
     std::unique_ptr<runtime::Scenario> scenario;
-    std::vector<std::unique_ptr<ExportTicker>> tickers;
     std::unique_ptr<fleet::Fleet> fl;
 
-    std::function<void(Duration)> advance;
-    std::function<BoundaryProbe()> probe;
+    std::vector<runtime::TrainShard*> shards;
     std::vector<const health::HealthMonitor*> monitors;
     std::vector<faults::SafetyAuditor*> auditors;
-    std::function<void()> audit_pass;
 
-    const std::uint32_t n = options.base.n;
+    // Watchdogs track exports on the soak's cadence (the fleet computes
+    // the same config from its own export period).
+    const health::MonitorConfig monitor_cfg = health::MonitorConfig{}.watching_exports(
+        options.dc_count, options.export_period,
+        options.base.bus_cycle * static_cast<std::int64_t>(options.base.block_size));
     if (!options.fleet) {
         runtime::ScenarioConfig sc = options.base;
         sc.dc_count = options.dc_count;
@@ -227,104 +211,75 @@ SoakReport run_soak(const SoakOptions& options) {
             sc.auditor = single_auditor.get();
             auditors.push_back(single_auditor.get());
         }
-        health::MonitorConfig mc;
-        if (options.dc_count > 0) {
-            mc.watch_export = true;
-            const double blocks_per_period =
-                to_seconds(options.export_period) /
-                (to_seconds(sc.bus_cycle) * static_cast<double>(sc.block_size));
-            mc.export_backlog_min_blocks =
-                std::max<std::uint64_t>(mc.export_backlog_min_blocks,
-                                        static_cast<std::uint64_t>(4.0 * blocks_per_period));
-        }
-        single_monitor = std::make_unique<health::HealthMonitor>(mc);
+        single_monitor = std::make_unique<health::HealthMonitor>(monitor_cfg);
         sc.health_monitor = single_monitor.get();
         if (options.journey_seed != 0) apply(compiled, sc);
 
         scenario = std::make_unique<runtime::Scenario>(sc);
         monitors.push_back(single_monitor.get());
+        shards.push_back(&scenario->shard());
 
-        // Periodic exports (staggered across DCs) so pruning keeps pace
-        // with the chain over the whole horizon.
+        // Single-consist mode has no fleet exporter loop: one staggered
+        // ticker per data center starts a round every period so pruning
+        // keeps pace with the chain (a round in flight is left alone;
+        // retries own the backoff).
         for (std::uint32_t d = 0; d < options.dc_count; ++d) {
-            tickers.push_back(std::make_unique<ExportTicker>(
-                ExportTicker{scenario.get(), d, options.export_period}));
-            ExportTicker* t = tickers.back().get();
-            scenario->sim().schedule(
+            scenario->sim().every(
                 sc.warmup + (options.export_period * static_cast<std::int64_t>(d + 1)) /
                                 static_cast<std::int64_t>(options.dc_count),
-                [t] { t->fire(); });
+                options.export_period, [&scenario, d] {
+                    exporter::DataCenter& dc = scenario->data_center(d);
+                    if (!dc.exporting()) dc.start_export();
+                });
         }
-
-        advance = [&](Duration d) { scenario->run_for(d); };
-        audit_pass = [&] { scenario->run_audit(); };
-        probe = [&] {
-            BoundaryProbe p;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto& node = scenario->node(i);
-                p.telegrams = std::max(p.telegrams, node.telegrams_seen());
-                const auto s = scenario->shard().snapshot_node(i);
-                p.logged = std::max(p.logged, s.logged);
-                p.blocks = std::max(p.blocks, s.head_height);
-                p.node_total = std::max(p.node_total, node.memory().total_bytes());
-                for (const auto& g : node.memory().gauges()) {
-                    auto& slot = p.gauges[g->name()];
-                    slot = std::max(slot, g->value());
-                }
-            }
-            p.pending = scenario->sim().pending_events();
-            return p;
-        };
     } else {
         fleet::FleetConfig fc;
         fc.trains = options.trains;
         fc.seed = options.base.seed;
         fc.train = options.base;
-        fc.train.mem_sample_period = options.mem_sample_period;
+        fc.train.audit_period = Duration::zero();  // boundary-driven
         fc.dc_count = options.dc_count;
         fc.export_period = options.export_period;
         fc.warmup = options.base.warmup;
         fc.duration = options.horizon;
         fc.sample_period = options.fleet_sample_period;
         fc.audit = options.audit;
-        fc.audit_period = Duration::zero();  // boundary-driven
         if (options.journey_seed != 0) apply(compiled, fc);
 
         fl = std::make_unique<fleet::Fleet>(std::move(fc));
         for (std::uint32_t t = 0; t < options.trains; ++t) {
-            if (const auto* m = fl->monitor(t)) monitors.push_back(m);
-            if (auto* a = fl->auditor_handle(t)) auditors.push_back(a);
+            shards.push_back(&fl->shard(t));
+            monitors.push_back(fl->monitor(t));
+            if (auto* a = fl->auditor(t)) auditors.push_back(a);
         }
-        advance = [&](Duration d) { fl->run_for(d); };
-        audit_pass = [&] { fl->run_audit(); };
-        probe = [&] {
-            BoundaryProbe p;
-            for (std::uint32_t t = 0; t < options.trains; ++t) {
-                auto& shard = fl->shard(t);
-                std::uint64_t tg = 0, lg = 0, bl = 0;
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    auto& node = shard.node(i);
-                    tg = std::max(tg, node.telegrams_seen());
-                    const auto s = shard.snapshot_node(i);
-                    lg = std::max(lg, s.logged);
-                    bl = std::max(bl, s.head_height);
-                    p.node_total = std::max(p.node_total, node.memory().total_bytes());
-                    for (const auto& g : node.memory().gauges()) {
-                        auto& slot = p.gauges[g->name()];
-                        slot = std::max(slot, g->value());
-                    }
-                }
-                p.telegrams += tg;
-                p.logged += lg;
-                p.blocks += bl;
-            }
-            p.pending = fl->sim().pending_events();
-            for (std::uint32_t d = 0; d < fl->dc_count(); ++d) {
-                p.dc_depth += fl->data_center(d).ingest_queue_depth();
-            }
-            return p;
-        };
     }
+    sim::Simulation& sim = fl ? fl->sim() : scenario->sim();
+    const auto advance = [&](Duration d) { fl ? fl->run_for(d) : scenario->run_for(d); };
+    const auto audit_pass = [&] { fl ? fl->run_audit() : scenario->run_audit(); };
+    const auto probe = [&] {
+        BoundaryProbe p;
+        for (runtime::TrainShard* shard : shards) {
+            const runtime::TrainSample s = shard->sample();
+            std::uint64_t telegrams = 0;
+            for (std::size_t i = 0; i < shard->node_count(); ++i) {
+                runtime::Node& node = shard->node(i);
+                telegrams = std::max(telegrams, node.telegrams_seen());
+                p.node_total = std::max(p.node_total, node.memory().total_bytes());
+                for (const auto& g : node.memory().gauges()) {
+                    auto& slot = p.gauges[g->name()];
+                    slot = std::max(slot, g->value());
+                }
+            }
+            p.telegrams += telegrams;
+            p.logged += s.logged;
+            p.blocks += s.head;
+        }
+        p.pending = sim.pending_events();
+        for (std::uint32_t d = 0; fl && d < fl->dc_count(); ++d) {
+            p.dc_depth += fl->data_center(d).ingest_queue_depth();
+        }
+        return p;
+    };
 
     // -- drive the horizon in segments --
     advance(options.base.warmup);
@@ -388,7 +343,7 @@ SoakReport run_soak(const SoakOptions& options) {
         std::uint64_t fired = 0, cleared = 0;
         for (const auto* m : monitors) {
             fired += m->alarms().size();
-            for (const auto& alarm : m->alarms()) cleared += alarm.cleared ? 1 : 0;
+            cleared += m->alarms().size() - m->active_alarms();
         }
 
         SoakSegment seg;

@@ -36,6 +36,7 @@ DcPort::DcPort(TrainShard& shard, DataCenterId id, crypto::KeyPair key,
       dc_(dc_config(shard.config(), id), sim_, crypto_, *this) {
     dc_.set_trace(trace, dc_endpoint(id));
     net_.attach(dc_endpoint(id), this);
+    shard.add_port(*this);
 }
 
 void DcPort::deliver(net::EndpointId /*from*/, Bytes message) {

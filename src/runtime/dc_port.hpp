@@ -21,7 +21,9 @@ class TrainShard;
 
 class DcPort final : public net::Endpoint, public exporter::DcTransport {
 public:
-    /// Attaches data center `id` to `shard`'s network. Export spans,
+    /// Attaches data center `id` to `shard`'s network and registers with
+    /// the shard (its audits and liveness observations read this port's
+    /// archive). Construct a shard's ports in DC id order. Export spans,
     /// ingest-queue spans and DC-sync events record into `trace` under
     /// pid dc_endpoint(id); the latter two carry `train` as trace id.
     DcPort(TrainShard& shard, DataCenterId id, crypto::KeyPair key, sim::MeteredExecutor& ingest,
@@ -37,6 +39,7 @@ public:
     /// Outage: inbound messages drop at the endpoint while down.
     void set_down(bool down);
 
+    DataCenterId id() const noexcept { return id_; }
     exporter::DataCenter& dc() noexcept { return dc_; }
     const exporter::DataCenter& dc() const noexcept { return dc_; }
 

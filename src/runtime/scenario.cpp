@@ -1,7 +1,6 @@
 #include "runtime/scenario.hpp"
 
 #include "prof/prof.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::runtime {
 
@@ -20,8 +19,8 @@ void Scenario::build() {
     sim_.set_profiler(prof::Profiler::active());
 
     // The consist itself: fault-schedule validation, links, keys, auditor
-    // wiring, generator, buses, nodes, state transfer. The empty rng label
-    // keeps the classic fork stream.
+    // and liveness wiring, generator, buses, nodes, state transfer. The
+    // empty rng label keeps the classic fork stream.
     ShardEnv env;
     env.sim = &sim_;
     env.net = &net_;
@@ -29,35 +28,13 @@ void Scenario::build() {
     shard_ = std::make_unique<TrainShard>(config_, std::move(env));
 
     if (config_.auditor != nullptr && config_.audit_period > Duration::zero()) {
-        sim_.schedule(config_.audit_period, [this] { audit_tick(); });
+        sim_.every(config_.audit_period, [this] { shard_->audit(); });
     }
 
-    // Liveness auditor: lower the fault schedule into dark spans (the
-    // windows where the model itself excuses a stall) and sample cluster
-    // progress on a fixed cadence. The caller configures n/f/thresholds
-    // before construction; finish() is the harness's job after the run.
+    // Liveness: the shard lowered the fault schedule into the auditor's
+    // dark spans; the scenario samples cluster progress on a fixed cadence.
     if (config_.liveness != nullptr && config_.liveness_period > Duration::zero()) {
-        config_.liveness->set_trace({config_.trace_sink, kNoNode, sim_.now_handle()});
-        const Duration horizon = config_.warmup + config_.duration;
-
-        std::vector<faults::NodeDarkSpan> dark;
-        const std::vector<std::optional<Duration>> ends = crash_restart_times(config_);
-        for (std::size_t i = 0; i < config_.crash_schedule.size(); ++i) {
-            const auto& c = config_.crash_schedule[i];
-            dark.push_back({c.node, c.at, ends[i].value_or(horizon)});
-        }
-        std::vector<faults::UplinkDarkSpan> uplink;
-        for (const auto& flap : config_.link_flaps) {
-            if (flap.link == ScenarioConfig::LinkFlap::Link::kNode) {
-                // An asymmetric flap silences the node's votes just as
-                // thoroughly as a full partition: still a dark span.
-                dark.push_back({flap.node, flap.at, flap.at + flap.duration});
-            } else {
-                uplink.push_back({flap.at, flap.at + flap.duration});
-            }
-        }
-        config_.liveness->set_schedule(std::move(dark), std::move(uplink), horizon);
-        sim_.schedule(config_.liveness_period, [this] { liveness_tick(); });
+        sim_.every(config_.liveness_period, [this] { shard_->observe_liveness(); });
     }
 
     // Data centers (keys drawn by the shard, single-consist mode), each
@@ -80,14 +57,10 @@ void Scenario::build() {
             config_.health_monitor != nullptr
                 ? config_.health_monitor->config().sample_every_cycles
                 : config_.timeseries_sample_cycles;
-        health_period_ = config_.bus_cycle * std::max<std::uint32_t>(1, cycles);
-        sim_.schedule(health_period_, [this] { sample_health(); });
+        sim_.every(config_.bus_cycle * std::max<std::uint32_t>(1, cycles),
+                   [this] { shard_->check_health(); });
     }
 }
-
-void Scenario::crash_node(NodeId id) { shard_->crash_node(id); }
-
-void Scenario::restart_node(NodeId id) { shard_->restart_node(id); }
 
 void Scenario::start_measuring() {
     measuring_ = true;
@@ -104,19 +77,6 @@ void Scenario::start_measuring() {
     }
 }
 
-void Scenario::sample_health() {
-    std::vector<health::NodeSample> samples;
-    samples.reserve(shard_->node_count());
-    for (std::size_t i = 0; i < shard_->node_count(); ++i) {
-        samples.push_back(shard_->snapshot_node(i));
-    }
-    if (config_.health_monitor != nullptr) config_.health_monitor->sample(sim_.now(), samples);
-    if (config_.health_timeseries != nullptr) {
-        config_.health_timeseries->sample(sim_.now(), samples);
-    }
-    sim_.schedule(health_period_, [this] { sample_health(); });
-}
-
 void Scenario::sample_memory() {
     if (stop_sampling_) return;
     if (measuring_) {
@@ -125,43 +85,6 @@ void Scenario::sample_memory() {
         }
     }
     sim_.schedule(config_.mem_sample_period, [this] { sample_memory(); });
-}
-
-void Scenario::run_audit() {
-    if (config_.auditor == nullptr) return;
-    ZC_PROF_SCOPE(kAudit);
-    std::vector<faults::ReplicaView> replicas = shard_->replica_views();
-    std::vector<faults::DataCenterView> dcs;
-    dcs.reserve(dcs_.size());
-    for (std::size_t d = 0; d < dcs_.size(); ++d) {
-        faults::DataCenterView view;
-        view.id = static_cast<DataCenterId>(d);
-        view.store = &dcs_[d]->dc().store();
-        view.proof = dcs_[d]->dc().last_proof();
-        dcs.push_back(view);
-    }
-    config_.auditor->audit(replicas, dcs);
-}
-
-void Scenario::audit_tick() {
-    run_audit();
-    sim_.schedule(config_.audit_period, [this] { audit_tick(); });
-}
-
-void Scenario::liveness_tick() {
-    faults::LivenessObs obs;
-    std::vector<faults::LivenessNodeObs> nodes;
-    nodes.reserve(shard_->node_count());
-    for (std::size_t i = 0; i < shard_->node_count(); ++i) {
-        const health::NodeSample s = shard_->snapshot_node(i);
-        obs.decided = std::max(obs.decided, s.decided);
-        const std::uint64_t backlog = s.head_height - std::min(s.head_height, s.base_height);
-        obs.backlog_blocks = std::max(obs.backlog_blocks, backlog);
-        nodes.push_back({s.node, s.alive, s.head_height});
-    }
-    for (const auto& dc : dcs_) obs.exports_completed += dc->dc().stats().exports_completed;
-    config_.liveness->observe(sim_.now(), obs, nodes);
-    sim_.schedule(config_.liveness_period, [this] { liveness_tick(); });
 }
 
 void Scenario::run() {

@@ -73,29 +73,9 @@ public:
     Node& node(std::size_t i) { return shard_->node(i); }
     std::size_t node_count() const noexcept { return shard_->node_count(); }
 
-    /// Crashes / restarts a node immediately (same path the schedules
-    /// use). Restart picks the highest view among the surviving replicas
-    /// as the rejoin view hint and re-wires state transfer.
-    void crash_node(NodeId id);
-    void restart_node(NodeId id);
-
-    /// Successful state-transfer fetches (and blocks copied) so far.
-    std::uint64_t state_transfer_fetches() const noexcept {
-        return shard_->state_transfer_fetches();
-    }
-    std::uint64_t state_transfer_blocks() const noexcept {
-        return shard_->state_transfer_blocks();
-    }
-
-    /// Peer block ranges rejected by staged state-transfer validation
-    /// (hash-link or checkpoint-digest mismatch — a poisoning attempt).
-    std::uint64_t state_transfer_rejected() const noexcept {
-        return shard_->state_transfer_rejected();
-    }
-
     /// One audit pass over all replicas and data centers, feeding the
     /// auditor's report (no-op without a configured auditor).
-    void run_audit();
+    void run_audit() { shard_->audit(); }
 
     exporter::DataCenter& data_center(std::size_t i);
     sim::Simulation& sim() noexcept { return sim_; }
@@ -108,9 +88,6 @@ private:
     void build();
     void start_measuring();
     void sample_memory();
-    void sample_health();
-    void audit_tick();
-    void liveness_tick();
 
     ScenarioConfig config_;
     sim::Simulation sim_;
@@ -119,8 +96,6 @@ private:
     std::unique_ptr<TrainShard> shard_;
     std::deque<sim::MeteredExecutor> dc_executors_;  ///< one 4-core executor per DC
     std::vector<std::unique_ptr<DcPort>> dcs_;
-
-    Duration health_period_{0};
 
     // measurement window bookkeeping
     bool measuring_ = false;

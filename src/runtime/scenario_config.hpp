@@ -15,61 +15,10 @@
 
 namespace zc::runtime {
 
-struct ScenarioConfig {
-    Mode mode = Mode::kZugChain;
-    std::uint32_t n = 4;
-    std::uint32_t f = 1;
-    std::uint64_t seed = 1;
-
-    // Workload (paper defaults: 64 ms cycle, block size 10).
-    Duration bus_cycle{milliseconds(64)};
-    std::size_t payload_size = 1024;
-    SeqNo block_size = 10;
-
-    /// Additional input sources beyond the MVB (paper SIII-C "Multiple
-    /// Input Sources"), e.g. a ProfiNet segment: each entry creates
-    /// another bus with its own signal generator feeding all nodes.
-    struct ExtraBus {
-        Duration cycle{milliseconds(128)};
-        std::size_t payload_size = 256;
-    };
-    std::vector<ExtraBus> extra_buses;
-
-    // Timers (paper Fig. 8).
-    Duration soft_timeout{milliseconds(250)};
-    Duration hard_timeout{milliseconds(250)};
-    Duration client_timeout{milliseconds(500)};
-    Duration request_timeout{milliseconds(500)};
-    Duration view_change_timeout{milliseconds(2000)};
-    std::size_t max_open_per_origin = 32;
-
-    /// Adaptive timeouts (pbft/adaptive.hpp): the replica's view-change
-    /// timer and the layer's soft/hard suspicion timers track observed
-    /// round trips instead of the fixed constants above. Off by default
-    /// here (library users opt in); zugchain_sim enables it unless
-    /// --fixed-timeouts is given.
-    pbft::AdaptiveTimeoutConfig adaptive_timeouts;
-
-    // PBFT batch ordering (1 = classic request-per-instance pipeline).
-    std::uint32_t batch_max_requests = 1;
-    std::size_t batch_max_bytes = 128 * 1024;
-    Duration batch_linger{0};
-
-    /// "fast" (HMAC simulation signatures) or "ed25519" (real crypto);
-    /// virtual CPU costs are identical either way.
-    std::string crypto_provider = "fast";
-
-    int device_cores = 4;
-    int protocol_cores = 1;
-    std::size_t rx_queue_limit = 2048;
-
-    /// Mild bus unreliability by default (drops/reorders per [9]); clear
-    /// for noise-free microbenchmarks.
-    bus::TapFaults default_tap_faults{0.002, 0.001, 0.0005, 0.0005};
-    std::map<NodeId, bus::TapFaults> tap_faults;
-
-    std::map<NodeId, ByzantineBehavior> byzantine;
-
+/// One consist's fault and timetable schedules. A ScenarioConfig carries
+/// them directly; a fleet train's overlay (fleet::FleetConfig::TrainOverlay)
+/// is one, and the fleet lowers its chaos plan into one per train.
+struct TrainSchedules {
     /// Crash (power loss) schedule. `restart_after > 0` reboots the node
     /// that long after the crash; 0 leaves it down (fail-stop).
     struct CrashEntry {
@@ -139,6 +88,75 @@ struct ScenarioConfig {
     /// device — a throttled or constrained replica, per the
     /// PBFT-for-IoT measurements). Absent nodes run the nominal table.
     std::map<NodeId, double> cpu_profiles;
+
+    /// Appends every entry of `other` (its cpu profiles override ours).
+    void append(const TrainSchedules& other) {
+        const auto extend = [](auto& to, const auto& from) {
+            to.insert(to.end(), from.begin(), from.end());
+        };
+        extend(crash_schedule, other.crash_schedule);
+        extend(restart_schedule, other.restart_schedule);
+        extend(link_flaps, other.link_flaps);
+        extend(egress_ramps, other.egress_ramps);
+        extend(rate_windows, other.rate_windows);
+        for (const auto& [node, factor] : other.cpu_profiles) cpu_profiles[node] = factor;
+    }
+};
+
+struct ScenarioConfig : TrainSchedules {
+    Mode mode = Mode::kZugChain;
+    std::uint32_t n = 4;
+    std::uint32_t f = 1;
+    std::uint64_t seed = 1;
+
+    // Workload (paper defaults: 64 ms cycle, block size 10).
+    Duration bus_cycle{milliseconds(64)};
+    std::size_t payload_size = 1024;
+    SeqNo block_size = 10;
+
+    /// Additional input sources beyond the MVB (paper SIII-C "Multiple
+    /// Input Sources"), e.g. a ProfiNet segment: each entry creates
+    /// another bus with its own signal generator feeding all nodes.
+    struct ExtraBus {
+        Duration cycle{milliseconds(128)};
+        std::size_t payload_size = 256;
+    };
+    std::vector<ExtraBus> extra_buses;
+
+    // Timers (paper Fig. 8).
+    Duration soft_timeout{milliseconds(250)};
+    Duration hard_timeout{milliseconds(250)};
+    Duration client_timeout{milliseconds(500)};
+    Duration request_timeout{milliseconds(500)};
+    Duration view_change_timeout{milliseconds(2000)};
+    std::size_t max_open_per_origin = 32;
+
+    /// Adaptive timeouts (pbft/adaptive.hpp): the replica's view-change
+    /// timer and the layer's soft/hard suspicion timers track observed
+    /// round trips instead of the fixed constants above. Off by default
+    /// here (library users opt in); zugchain_sim enables it unless
+    /// --fixed-timeouts is given.
+    pbft::AdaptiveTimeoutConfig adaptive_timeouts;
+
+    // PBFT batch ordering (1 = classic request-per-instance pipeline).
+    std::uint32_t batch_max_requests = 1;
+    std::size_t batch_max_bytes = 128 * 1024;
+    Duration batch_linger{0};
+
+    /// "fast" (HMAC simulation signatures) or "ed25519" (real crypto);
+    /// virtual CPU costs are identical either way.
+    std::string crypto_provider = "fast";
+
+    int device_cores = 4;
+    int protocol_cores = 1;
+    std::size_t rx_queue_limit = 2048;
+
+    /// Mild bus unreliability by default (drops/reorders per [9]); clear
+    /// for noise-free microbenchmarks.
+    bus::TapFaults default_tap_faults{0.002, 0.001, 0.0005, 0.0005};
+    std::map<NodeId, bus::TapFaults> tap_faults;
+
+    std::map<NodeId, ByzantineBehavior> byzantine;
 
     /// Skips the up-front fault-schedule validation (see
     /// runtime/validate.hpp) for harnesses that deliberately exceed the

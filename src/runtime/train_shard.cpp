@@ -7,6 +7,7 @@
 #include "export/data_center.hpp"
 #include "export/messages.hpp"
 #include "prof/prof.hpp"
+#include "runtime/dc_port.hpp"
 #include "runtime/validate.hpp"
 
 namespace zc::runtime {
@@ -31,6 +32,7 @@ TrainShard::TrainShard(const ScenarioConfig& config, ShardEnv env)
         }
     }
     build();
+    arm_liveness();
 }
 
 TrainShard::~TrainShard() = default;
@@ -188,6 +190,39 @@ void TrainShard::build() {
     for (auto& node : nodes_) install_state_fetcher(*node);
 }
 
+/// Liveness auditor: the fault schedule lowered into the windows where
+/// the model itself excuses a stall. Crashes are dark until their paired
+/// restart, node flaps (asymmetric ones too: they silence the node's
+/// votes) are dark spans, LTE flaps and the env's DC-outage spans dark
+/// uplinks. finish() is the harness's job after the run.
+void TrainShard::arm_liveness() {
+    const ScenarioConfig& cfg = *config_;
+    if (cfg.liveness == nullptr) return;
+    faults::LivenessConfig lc = cfg.liveness->config();
+    lc.n = cfg.n;
+    lc.f = cfg.f;
+    lc.check_exports = cfg.dc_count > 0;
+    cfg.liveness->configure(lc);
+    cfg.liveness->set_trace({cfg.trace_sink, kNoNode, env_.sim->now_handle()});
+
+    const Duration horizon = cfg.warmup + cfg.duration;
+    std::vector<faults::NodeDarkSpan> dark;
+    const std::vector<std::optional<Duration>> ends = crash_restart_times(cfg);
+    for (std::size_t i = 0; i < cfg.crash_schedule.size(); ++i) {
+        const auto& c = cfg.crash_schedule[i];
+        dark.push_back({c.node, c.at, ends[i].value_or(horizon)});
+    }
+    std::vector<faults::UplinkDarkSpan> uplink = env_.uplink_dark;
+    for (const auto& flap : cfg.link_flaps) {
+        if (flap.link == ScenarioConfig::LinkFlap::Link::kNode) {
+            dark.push_back({flap.node, flap.at, flap.at + flap.duration});
+        } else {
+            uplink.push_back({flap.at, flap.at + flap.duration});
+        }
+    }
+    cfg.liveness->set_schedule(std::move(dark), std::move(uplink), horizon);
+}
+
 void TrainShard::start() { bus_->start(); }
 
 void TrainShard::schedule_faults() {
@@ -224,13 +259,19 @@ void TrainShard::schedule_faults() {
 void TrainShard::apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked) {
     const ScenarioConfig& cfg = *config_;
     const bool lte = flap.link == ScenarioConfig::LinkFlap::Link::kLte;
+    net::Network& net = *env_.net;
     if (lte) {
-        set_uplink_blocked(blocked);
+        // The train in a radio dead zone: every node <-> DC link drops.
+        for (std::uint32_t i = 0; i < cfg.n; ++i) {
+            for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+                net.set_blocked(i, dc_endpoint(d), blocked);
+                net.set_blocked(dc_endpoint(d), i, blocked);
+            }
+        }
     } else {
         // Transient partition: one node cut off from peers and DCs. An
         // asymmetric flap cuts only the node's outbound direction (dead
         // TX): it keeps hearing the cluster but nobody hears it.
-        net::Network& net = *env_.net;
         for (std::uint32_t i = 0; i < cfg.n; ++i) {
             if (i == flap.node) continue;
             net.set_blocked(flap.node, i, blocked);
@@ -247,15 +288,6 @@ void TrainShard::apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked) 
                               blocked ? trace::Phase::kLinkDown : trace::Phase::kLinkUp,
                               static_cast<std::uint64_t>(who),
                               static_cast<std::uint64_t>(flap.duration.count()));
-    }
-}
-
-void TrainShard::set_uplink_blocked(bool blocked) {
-    for (std::uint32_t i = 0; i < config_->n; ++i) {
-        for (std::uint32_t d = 0; d < config_->dc_count; ++d) {
-            env_.net->set_blocked(i, dc_endpoint(d), blocked);
-            env_.net->set_blocked(dc_endpoint(d), i, blocked);
-        }
     }
 }
 
@@ -324,22 +356,14 @@ void TrainShard::install_state_fetcher(Node& node) {
                 }
 
                 std::vector<chain::Block> staged = src.range(anchor->base_height, target);
-                bool ok = !staged.empty() &&
-                          staged.size() == target - anchor->base_height + 1 &&
-                          staged.front().header.height == anchor->base_height &&
-                          staged.front().hash() == anchor->base_hash &&
-                          staged.front().payload_valid();
-                crypto::Digest prev = ok ? anchor->base_hash : crypto::Digest{};
-                Height expect = anchor->base_height + 1;
-                for (std::size_t i = 1; ok && i < staged.size(); ++i) {
-                    const chain::Block& b = staged[i];
-                    self->crypto().charge_hash(b.size_bytes());
-                    ok = b.header.height == expect && b.header.parent_hash == prev &&
-                         b.payload_valid();
-                    prev = b.hash();
-                    expect += 1;
-                }
-                if (!ok || prev != state) {
+                const bool ok = !staged.empty() &&
+                                staged.size() == target - anchor->base_height + 1 &&
+                                staged.front().header.height == anchor->base_height &&
+                                staged.front().hash() == anchor->base_hash &&
+                                staged.front().payload_valid() &&
+                                links_to(*self, staged, 1, anchor->base_height + 1,
+                                         anchor->base_hash, state);
+                if (!ok) {
                     reject_range(*self, *peer, "rebase", anchor->base_height, target, seq);
                     continue;
                 }
@@ -389,18 +413,8 @@ void TrainShard::install_state_fetcher(Node& node) {
 #else
             // Stage-then-adopt: validate the whole range incrementally
             // from our head up to the checkpoint digest, then append.
-            bool ok = staged.size() == target - from + 1;
-            crypto::Digest prev = self->store().head_hash();
-            Height expect = from;
-            for (const chain::Block& b : staged) {
-                if (!ok) break;
-                self->crypto().charge_hash(b.size_bytes());
-                ok = b.header.height == expect && b.header.parent_hash == prev &&
-                     b.payload_valid();
-                prev = b.hash();
-                expect += 1;
-            }
-            if (!ok || prev != state) {
+            if (staged.size() != target - from + 1 ||
+                !links_to(*self, staged, 0, from, self->store().head_hash(), state)) {
                 reject_range(*self, *peer, "state-transfer", from, target, seq);
                 continue;  // try the next peer
             }
@@ -414,6 +428,19 @@ void TrainShard::install_state_fetcher(Node& node) {
         }
         return false;
     });
+}
+
+bool TrainShard::links_to(Node& node, const std::vector<chain::Block>& staged, std::size_t first,
+                          Height height, crypto::Digest prev, const crypto::Digest& state) {
+    for (std::size_t i = first; i < staged.size(); ++i, ++height) {
+        const chain::Block& b = staged[i];
+        node.crypto().charge_hash(b.size_bytes());
+        if (b.header.height != height || b.header.parent_hash != prev || !b.payload_valid()) {
+            return false;
+        }
+        prev = b.hash();
+    }
+    return prev == state;
 }
 
 void TrainShard::mark_logged(Node& node, const chain::Block& block) {
@@ -460,37 +487,74 @@ void TrainShard::restart_node(NodeId id) {
     install_state_fetcher(target);
 }
 
-health::NodeSample TrainShard::snapshot_node(std::size_t i) const {
-    Node& node = *nodes_.at(i);
-    health::NodeSample s;
-    s.node = node.id();
-    s.alive = node.alive();
-    const pbft::ReplicaStats& rs = node.replica().stats();
-    s.decided = rs.decided;
-    s.view_changes = rs.new_views_installed;
-    if (node.layer() != nullptr) {
-        const zugchain::LayerStats& ls = node.layer()->stats();
-        s.logged = ls.logged;
-        s.soft_timeouts = ls.soft_timeouts;
-        s.hard_timeouts = ls.hard_timeouts;
-    } else {
-        s.logged = rs.decided;  // baseline mode: every decide is a log
+TrainSample TrainShard::sample() const {
+    TrainSample out;
+    out.nodes.reserve(nodes_.size());
+    Height base = 0;
+    for (const auto& ptr : nodes_) {
+        Node& node = *ptr;
+        health::NodeSample& s = out.nodes.emplace_back();
+        s.node = node.id();
+        s.alive = node.alive();
+        const pbft::ReplicaStats& rs = node.replica().stats();
+        s.decided = rs.decided;
+        s.view_changes = rs.new_views_installed;
+        if (node.layer() != nullptr) {
+            const zugchain::LayerStats& ls = node.layer()->stats();
+            s.logged = ls.logged;
+            s.soft_timeouts = ls.soft_timeouts;
+            s.hard_timeouts = ls.hard_timeouts;
+        } else {
+            s.logged = rs.decided;  // baseline mode: every decide is a log
+        }
+        s.head_height = node.store().head_height();
+        s.stable_height = node.replica().last_stable() / config_->block_size;
+        s.base_height = node.store().base_height();
+        s.rx_dropped = node.rx_dropped();
+        s.mem_mb = static_cast<double>(node.memory().total_bytes()) / (1024.0 * 1024.0);
+        s.timeout_thrash = rs.timeout_thrash;
+        const net::TrafficStats& ns = env_.net->stats(node.id());
+        s.net_dropped_loss = ns.dropped_loss;
+        s.net_dropped_partition = ns.dropped_partition;
+        s.net_dropped_overflow = ns.dropped_nic_overflow;
+        s.net_dropped_corrupt = ns.dropped_corrupt;
+
+        if (s.alive) out.alive += 1;
+        if (s.head_height >= out.head) {
+            out.head = s.head_height;
+            base = std::max<Height>(base, s.base_height);
+        }
+        out.logged = std::max(out.logged, s.logged);
     }
-    s.head_height = node.store().head_height();
-    s.stable_height = node.replica().last_stable() / config_->block_size;
-    s.base_height = node.store().base_height();
-    s.rx_dropped = node.rx_dropped();
-    s.mem_mb = static_cast<double>(node.memory().total_bytes()) / (1024.0 * 1024.0);
-    s.timeout_thrash = rs.timeout_thrash;
-    const net::TrafficStats& ns = env_.net->stats(node.id());
-    s.net_dropped_loss = ns.dropped_loss;
-    s.net_dropped_partition = ns.dropped_partition;
-    s.net_dropped_overflow = ns.dropped_nic_overflow;
-    s.net_dropped_corrupt = ns.dropped_corrupt;
+    out.backlog = out.head - std::min(base, out.head);
+    return out;
+}
+
+TrainSample TrainShard::check_health() {
+    TrainSample s = sample();
+    const TimePoint now = env_.sim->now();
+    if (config_->health_monitor != nullptr) config_->health_monitor->sample(now, s.nodes);
+    if (config_->health_timeseries != nullptr) config_->health_timeseries->sample(now, s.nodes);
     return s;
 }
 
-std::vector<faults::ReplicaView> TrainShard::replica_views() {
+void TrainShard::observe_liveness() {
+    if (config_->liveness == nullptr) return;
+    faults::LivenessObs obs;
+    std::vector<faults::LivenessNodeObs> nodes;
+    for (const health::NodeSample& s : sample().nodes) {
+        obs.decided = std::max(obs.decided, s.decided);
+        obs.backlog_blocks = std::max<std::uint64_t>(
+            obs.backlog_blocks, s.head_height - std::min(s.head_height, s.base_height));
+        nodes.push_back({s.node, s.alive, s.head_height});
+    }
+    for (const DcPort* port : ports_) obs.exports_completed += port->dc().stats().exports_completed;
+    config_->liveness->observe(env_.sim->now(), obs, nodes);
+}
+
+void TrainShard::audit() {
+    if (config_->auditor == nullptr) return;
+    ZC_PROF_SCOPE(kAudit);
     std::vector<faults::ReplicaView> replicas;
     replicas.reserve(nodes_.size());
     for (auto& node : nodes_) {
@@ -502,7 +566,16 @@ std::vector<faults::ReplicaView> TrainShard::replica_views() {
         view.layer = node->layer();
         replicas.push_back(view);
     }
-    return replicas;
+    std::vector<faults::DataCenterView> dcs;
+    dcs.reserve(ports_.size());
+    for (const DcPort* port : ports_) {
+        faults::DataCenterView view;
+        view.id = port->id();
+        view.store = &port->dc().store();
+        view.proof = port->dc().last_proof();
+        dcs.push_back(view);
+    }
+    config_->auditor->audit(replicas, dcs);
 }
 
 }  // namespace zc::runtime

@@ -5,6 +5,9 @@
 // with their protocol stacks, validated state-transfer wiring between
 // them, and its whole fault schedule: validation at construction, then
 // crashes, restarts, link flaps, egress ramps and telegram-rate windows.
+// It is also the one observer of its consist (safety audit, health
+// snapshot, liveness dark spans and observations): harnesses keep only
+// the cadence.
 //
 // runtime::Scenario composes exactly one TrainShard with data centers and
 // measurement (the paper's single-consist testbed); fleet::Fleet composes
@@ -29,6 +32,20 @@ namespace zc::runtime {
 /// 0..n-1). Trace events of that DC record under the same pid.
 constexpr net::EndpointId dc_endpoint(DataCenterId dc) noexcept { return 100 + dc; }
 
+class DcPort;
+
+/// One health snapshot of a consist: every node's cumulative counters
+/// plus the train-level figures the harnesses report and aggregate.
+struct TrainSample {
+    std::vector<health::NodeSample> nodes;
+    std::uint32_t alive = 0;   ///< live nodes
+    Height head = 0;           ///< best chain head (dead nodes included)
+    std::uint64_t logged = 0;  ///< most unique requests any node logged
+    /// The fleet rollup's backlog: `head` minus the highest prune base
+    /// among nodes holding the running best head when scanned in id order.
+    std::uint64_t backlog = 0;
+};
+
 /// The substrate one shard plugs into. In a fleet every shard shares the
 /// simulation (one virtual clock) but owns its network; the harness picks
 /// distinct rng labels per shard so fault/jitter streams decorrelate.
@@ -46,13 +63,19 @@ struct ShardEnv {
     /// keypair verifies against every shard's directory. Null = the shard
     /// generates `config.dc_count` keys itself (single-consist mode).
     const std::vector<crypto::KeyPair>* dc_keys = nullptr;
+
+    /// Spans in which no data center is reachable (a fleet's overlapping
+    /// DC outages). The liveness auditor excuses stalled exports in them
+    /// as it does during the shard's own LTE flaps.
+    std::vector<faults::UplinkDarkSpan> uplink_dark;
 };
 
 class TrainShard {
 public:
     /// Validates the config's fault schedules (unless allow_unsafe_chaos;
     /// throws std::invalid_argument naming the first violation), installs
-    /// the link profiles and builds the consist.
+    /// the link profiles, builds the consist and wires its auditors (the
+    /// liveness auditor's n, f and check_exports come from the config).
     TrainShard(const ScenarioConfig& config, ShardEnv env);
     ~TrainShard();
 
@@ -68,10 +91,6 @@ public:
     /// puts fault events (rate windows are scheduled at construction).
     void schedule_faults();
 
-    /// Blocks (or reopens) every node <-> data-center link, untraced: the
-    /// train in a radio dead zone.
-    void set_uplink_blocked(bool blocked);
-
     Node& node(std::size_t i) { return *nodes_.at(i); }
     const Node& node(std::size_t i) const { return *nodes_.at(i); }
     std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -86,23 +105,30 @@ public:
     std::uint64_t state_transfer_blocks() const noexcept { return state_transfer_blocks_; }
     std::uint64_t state_transfer_rejected() const noexcept { return state_transfer_rejected_; }
 
-    /// Cumulative health counters of one node, for watchdog/time-series
-    /// sampling on the harness's cadence.
-    health::NodeSample snapshot_node(std::size_t i) const;
+    /// Registers a data-center port serving this shard (DcPort's
+    /// constructor does; ports register in DC id order).
+    void add_port(DcPort& port) { ports_.push_back(&port); }
 
-    /// Ground-truth views for a SafetyAuditor audit pass.
-    std::vector<faults::ReplicaView> replica_views();
+    /// One SafetyAuditor pass over the replicas and the registered ports'
+    /// archives (no-op without a configured auditor).
+    void audit();
+
+    /// Snapshots every node (reports and probes; feeds no observer).
+    TrainSample sample() const;
+
+    /// sample(), fed to the config's health monitor and time series.
+    TrainSample check_health();
+
+    /// One cluster observation for the config's liveness auditor (no-op
+    /// without one).
+    void observe_liveness();
 
     crypto::KeyDirectory& directory() noexcept { return directory_; }
     const ScenarioConfig& config() const noexcept { return *config_; }
     const ShardEnv& env() const noexcept { return env_; }
 
-    /// The nominal device cost table. Nodes named in
-    /// `ScenarioConfig::cpu_profiles` charge a scaled copy instead (a
-    /// degraded / constrained device); see node_cost_model().
-    const metrics::CostModel& node_costs() const noexcept { return node_costs_; }
-
-    /// The cost table node `i` actually charges (nominal or degraded).
+    /// The cost table node `i` actually charges: the nominal one, or a
+    /// scaled copy for a node named in `cpu_profiles` (a degraded device).
     const metrics::CostModel& node_cost_model(std::size_t i) const {
         return *node_cost_tables_.at(i);
     }
@@ -122,6 +148,7 @@ private:
     };
 
     void build();
+    void arm_liveness();
     void install_state_fetcher(Node& node);
 
     /// Blocks (or reopens) a link flap's links and traces link_down /
@@ -129,7 +156,12 @@ private:
     /// and the DCs (only its outbound direction if asymmetric).
     void apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked);
 
-    // State-transfer bookkeeping shared by every adoption path.
+    // State-transfer validation and bookkeeping shared by every adoption
+    // path. links_to: staged[first..] continues `prev` from `height` on,
+    // block by block with intact payloads (hashing charged to `node`), and
+    // ends at the checkpoint digest `state`.
+    static bool links_to(Node& node, const std::vector<chain::Block>& staged, std::size_t first,
+                         Height height, crypto::Digest prev, const crypto::Digest& state);
     void mark_logged(Node& node, const chain::Block& block);
     bool note_fetched(const Node& node, SeqNo seq, std::uint64_t blocks);
     void reject_range(const Node& node, const Node& peer, const char* kind, Height from,
@@ -149,6 +181,7 @@ private:
     std::unique_ptr<bus::Bus> bus_;
     std::vector<ExtraBusRig> extra_buses_;
     std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<DcPort*> ports_;
 
     std::uint64_t state_transfer_fetches_ = 0;
     std::uint64_t state_transfer_blocks_ = 0;

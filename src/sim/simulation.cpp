@@ -17,6 +17,13 @@ EventId Simulation::schedule_at(TimePoint when, std::function<void()> fn) {
     return id;
 }
 
+void Simulation::every(Duration first, Duration period, std::function<void()> tick) {
+    schedule(first, [this, period, tick = std::move(tick)]() mutable {
+        tick();
+        every(period, period, std::move(tick));
+    });
+}
+
 void Simulation::cancel(EventId id) noexcept { handlers_.erase(id); }
 
 bool Simulation::pending(EventId id) const noexcept { return handlers_.contains(id); }

@@ -45,6 +45,13 @@ public:
     /// Schedules at an absolute virtual time.
     EventId schedule_at(TimePoint when, std::function<void()> fn);
 
+    /// Runs `tick` `first` from now and then every `period` for the life of
+    /// the simulation; each run schedules the next after `tick` returns.
+    void every(Duration first, Duration period, std::function<void()> tick);
+    void every(Duration period, std::function<void()> tick) {
+        every(period, period, std::move(tick));
+    }
+
     /// Cancels a pending event. Cancelling an already-fired or invalid id
     /// is a no-op (timers race with their own cancellation by design).
     void cancel(EventId id) noexcept;

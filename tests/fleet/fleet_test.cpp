@@ -261,5 +261,45 @@ TEST(Fleet, StaggeredChaosDrillSurvivesWithCleanAudit) {
     }
 }
 
+bool reports(const faults::LivenessAuditor& liveness, faults::LivenessViolationKind kind) {
+    for (const faults::LivenessViolation& v : liveness.report().violations) {
+        if (v.kind == kind) return true;
+    }
+    return false;
+}
+
+TEST(FleetLiveness, CleanFleetChecksEveryTrainAndReportsClean) {
+    FleetConfig cfg = base_config(2);
+    cfg.audit_liveness = true;
+    Fleet fleet(cfg);
+    fleet.run();
+    for (TrainId t = 0; t < 2; ++t) {
+        const faults::LivenessAuditor* liveness = fleet.liveness(t);
+        ASSERT_NE(liveness, nullptr);
+        EXPECT_GE(liveness->report().windows_checked, 1u) << "train " << t;
+        EXPECT_TRUE(liveness->report().clean()) << liveness->report().json();
+    }
+    EXPECT_EQ(fleet.report().liveness_violations, 0u);
+}
+
+TEST(FleetLiveness, EveryNodeLimpingUnderFixedTimeoutsStallsEachTrain) {
+    // Cluster-wide degradation with the paper's fixed timers: every view
+    // thrashes and ordering freezes on every train (the fleet edition of
+    // the single-consist stall gate).
+    FleetConfig cfg;
+    cfg.trains = 2;
+    cfg.audit_liveness = true;
+    for (TrainId t = 0; t < 2; ++t) {
+        for (NodeId i = 0; i < cfg.train.n; ++i) cfg.overlays[t].cpu_profiles[i] = 10.0;
+    }
+    Fleet fleet(cfg);
+    fleet.run();
+    for (TrainId t = 0; t < 2; ++t) {
+        EXPECT_TRUE(reports(*fleet.liveness(t), faults::LivenessViolationKind::kNoOrderingProgress))
+            << "train " << t << ": " << fleet.liveness(t)->report().json();
+        EXPECT_GE(fleet.report().per_train[t].liveness_violations, 1u);
+    }
+}
+
 }  // namespace
 }  // namespace zc::fleet

@@ -32,7 +32,9 @@ TEST(FlightRecorder, RingWrapsAndCountsDrops) {
     ASSERT_EQ(events.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(events[i].arg, 6u + i);
-        if (i > 0) EXPECT_GT(events[i].at, events[i - 1].at);
+        if (i > 0) {
+            EXPECT_GT(events[i].at, events[i - 1].at);
+        }
     }
 }
 

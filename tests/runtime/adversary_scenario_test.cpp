@@ -114,8 +114,8 @@ TEST(AdversaryScenario, StateTransferPoisoningRejectedAndVictimRejoins) {
     // The forged range was offered and rejected; the victim then fetched
     // from an honest peer and rejoined with a clean chain.
     EXPECT_GE(s.node(0).adversary()->stats().st_poisonings, 1u);
-    EXPECT_GE(s.state_transfer_rejected(), 1u);
-    EXPECT_GE(s.state_transfer_fetches(), 1u);
+    EXPECT_GE(s.shard().state_transfer_rejected(), 1u);
+    EXPECT_GE(s.shard().state_transfer_fetches(), 1u);
     EXPECT_TRUE(s.node(2).alive());
     EXPECT_TRUE(auditor.report().clean()) << auditor.report().json();
     expect_converged(s);
@@ -148,7 +148,7 @@ TEST(AdversaryScenario, SameSeedSameResultUnderAttack) {
         } r;
         for (int i = 0; i < 4; ++i) r.heads[i] = s.node(i).store().head_height();
         r.attempts = s.node(0).adversary()->stats().attempts();
-        r.rejected = s.state_transfer_rejected();
+        r.rejected = s.shard().state_transfer_rejected();
         // Messages the correct replicas refused (tampered signatures).
         r.invalid = 0;
         for (int i = 1; i < 4; ++i) r.invalid += s.node(i).replica().stats().invalid_messages;

@@ -59,8 +59,8 @@ TEST_F(RecoveryTest, CrashedNodeRejoinsAndConvergesViaStateTransfer) {
 
     // The gap between the durable head and the cluster was refilled by at
     // least one state-transfer fetch.
-    EXPECT_GE(s.state_transfer_fetches(), 1u);
-    EXPECT_GE(s.state_transfer_blocks(), 1u);
+    EXPECT_GE(s.shard().state_transfer_fetches(), 1u);
+    EXPECT_GE(s.shard().state_transfer_blocks(), 1u);
 
     // Chains converged: the victim's whole chain must be a valid prefix
     // of (or equal to) the witness's — identical headers hash-link both.

@@ -17,10 +17,12 @@
 // Fleet mode (--fleet N): run N independent train shards on one virtual
 // clock, exporting into shared data centers (src/fleet). Reuses --seed,
 // --cycle-ms, --payload, --block-size, --batch-size, --duration-s,
-// --crypto, --store-dir (per-train subdirectories), --audit, --prof,
-// --fail-on-alarm, --json and --trace (one merged Perfetto/Chrome trace:
-// train t node i in pid band 1000*(t+1)+i, shared DCs at pid 100+d,
-// including DC ingest-queue and DC-to-DC sync spans), plus:
+// --crypto, --store-dir (per-train subdirectories), --audit,
+// --audit-liveness (one liveness auditor per train), --gray,
+// --fixed-timeouts, --prof, --fail-on-alarm, --json and --trace (one
+// merged Perfetto/Chrome trace: train t node i in pid band
+// 1000*(t+1)+i, shared DCs at pid 100+d, including DC ingest-queue and
+// DC-to-DC sync spans), plus:
 //
 //   zugchain_sim --fleet N [--fleet-dcs N] [--fleet-chaos]
 //                [--export-period-s S] [--trains-per-cell N]
@@ -39,7 +41,7 @@
 //   zugchain_sim --crash-primary-at-s 10 --health health.json --fail-on-alarm
 //   zugchain_sim --crash 6:2:4 --duration-s 30      # crash node 2 at 6 s,
 //                                                   # restart it 4 s later
-//   zugchain_sim --dcs 1 --export-at-s 12 --export-timeout-s 5 \
+//   zugchain_sim --dcs 1 --export-at-s 12 --export-timeout-s 5
 //                --flap 10:15:lte --duration-s 60   # export across an outage
 //   zugchain_sim --adversary equivocator:1 --audit  # compromise node 1,
 //                                                   # gate on the safety audit
@@ -57,7 +59,7 @@
 //                [--soak-recipes N] [--soak-day-s S]
 //
 //   zugchain_sim --soak 2 --journey 7 --cycle-ms 512 --json
-//   zugchain_sim --fleet 4 --soak 48 --journey 7 --cycle-ms 1024 \
+//   zugchain_sim --fleet 4 --soak 48 --journey 7 --cycle-ms 1024
 //                --payload 256   # two simulated days, fleet of four
 //
 // Exit codes: 0 ok, 1 chains inconsistent, 2 usage or invalid
@@ -385,8 +387,10 @@ struct Args {
 };
 
 /// Compiles the --gray profile into a deterministic gray-chaos schedule
-/// for `trains` shards (1 = single consist).
-fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains) {
+/// for `trains` shards (1 = single consist), clear of the `chaos` crash
+/// windows (the shard validates the merged schedule).
+fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains,
+                                         const fleet::FleetChaos& chaos = {}) {
     fleet::GrayChaosOptions go;
     go.n = args.cfg.n;
     go.f = args.cfg.f;
@@ -394,6 +398,11 @@ fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains)
     go.seed = args.cfg.seed;
     go.warmup = args.cfg.warmup;
     go.horizon = args.cfg.warmup + args.cfg.duration;
+    for (const auto& c : chaos.crashes) {
+        const Duration back = c.restart_after > Duration::zero() ? c.at + c.restart_after
+                                                                 : go.horizon;
+        go.avoid.push_back({c.train, c.node, c.at, back});
+    }
     for (const auto& [node, byz] : args.cfg.byzantine) {
         (void)byz;
         go.byzantine[0].insert(node);  // CLI adversaries land on train 0
@@ -484,15 +493,13 @@ int run_fleet(const Args& args) {
     cfg.duration = args.cfg.duration;
     cfg.store_root = args.cfg.store_root;
     cfg.audit = args.audit;
+    cfg.audit_liveness = args.audit_liveness;
     if (args.fleet_chaos) {
         cfg.chaos = fleet::FleetChaos::staggered(cfg.trains, cfg.dc_count,
                                                  cfg.warmup + cfg.duration);
     }
     if (!args.gray.empty()) {
-        fleet::apply(compile_gray_profile(args, cfg.trains), cfg);
-    }
-    if (args.audit_liveness) {
-        std::fprintf(stderr, "warning: --audit-liveness is single-consist only; ignored\n");
+        fleet::apply(compile_gray_profile(args, cfg.trains, cfg.chaos), cfg);
     }
     for (const auto& [node, byz] : args.cfg.byzantine) {
         cfg.byzantine[0][node] = byz;  // adversaries land on train 0
@@ -533,8 +540,11 @@ int run_fleet(const Args& args) {
                         as_json ? fleet.rollup().json() : fleet.rollup().csv());
     }
 
+    // The single-consist ladder: safety 4 > liveness 6 > collisions 1 >
+    // stuck alarms 3 > 0.
     int rc = report.cross_shard_collisions == 0 ? 0 : 1;
     if (rc == 0 && args.fail_on_alarm && report.alarms.total_never_cleared > 0) rc = 3;
+    if (args.audit_liveness && report.liveness_violations > 0) rc = 6;
     if (args.audit && report.audit_violations > 0) rc = 4;
 
     if (args.json) {
@@ -577,6 +587,17 @@ int run_fleet(const Args& args) {
     if (args.audit) {
         std::printf("audit violations        : %llu\n",
                     static_cast<unsigned long long>(report.audit_violations));
+    }
+    if (args.audit_liveness) {
+        std::printf("liveness violations     : %llu\n",
+                    static_cast<unsigned long long>(report.liveness_violations));
+        for (fleet::TrainId t = 0; t < cfg.trains; ++t) {
+            for (const faults::LivenessViolation& v : fleet.liveness(t)->report().violations) {
+                std::printf("  train %u %s [%.1f s, %.1f s]: %s\n", t,
+                            faults::liveness_violation_name(v.kind), to_seconds(v.from),
+                            to_seconds(v.to), v.detail.c_str());
+            }
+        }
     }
 
     std::printf("\n-- per train --\n");
@@ -728,17 +749,10 @@ int run(Args args) {
     // built (the validator then sees the merged plan).
     if (!args.gray.empty()) fleet::apply(compile_gray_profile(args, 1), args.cfg);
 
-    // Liveness auditor: configured before construction (the scenario
-    // lowers its own fault schedule into the auditor's dark spans).
+    // Liveness auditor: the consist configures it (n, f, export checks)
+    // and lowers its own fault schedule into the auditor's dark spans.
     faults::LivenessAuditor liveness;
-    if (args.audit_liveness) {
-        faults::LivenessConfig lcfg;
-        lcfg.n = args.cfg.n;
-        lcfg.f = args.cfg.f;
-        lcfg.check_exports = args.cfg.dc_count > 0;
-        liveness.configure(lcfg);
-        args.cfg.liveness = &liveness;
-    }
+    if (args.audit_liveness) args.cfg.liveness = &liveness;
 
     if (!args.json) {
         std::printf("zugchain_sim: mode=%s n=%u f=%u cycle=%lld ms payload=%zu block=%llu "
@@ -851,7 +865,7 @@ int run(Args args) {
     if (args.json) {
         print_json_report(args, r, consistent, args.audit ? &auditor : nullptr,
                           args.audit_liveness ? &liveness : nullptr, attack_attempts,
-                          scenario.state_transfer_rejected(),
+                          scenario.shard().state_transfer_rejected(),
                           args.prof ? &profiler : nullptr);
         return rc;
     }
@@ -974,7 +988,7 @@ int run(Args args) {
                         static_cast<unsigned long long>(st.st_poisonings));
         }
         std::printf("state-transfer ranges rejected: %llu\n",
-                    static_cast<unsigned long long>(scenario.state_transfer_rejected()));
+                    static_cast<unsigned long long>(scenario.shard().state_transfer_rejected()));
     }
 
     if (args.audit) {
