@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 
 #include "common/log.hpp"
 
@@ -152,23 +151,6 @@ void LivenessAuditor::check_window(Duration from, Duration to) {
                << advanced << " (< " << config_.min_decided_per_window
                << "); decided stuck at " << b->obs.decided;
         violate(LivenessViolationKind::kNoOrderingProgress, from, to, kNoNode, detail.str());
-    } else {
-        // A burst of progress must not hide a later freeze: no sampled
-        // stretch of min_window may order nothing either.
-        const Sample* frozen = a;  // first sample of the longest freeze
-        const Sample* until = a;
-        for (const Sample *mark = a, *s = a; s <= b; ++s) {
-            if (s->obs.decided > mark->obs.decided) mark = s;
-            if (s->at - mark->at > until->at - frozen->at) std::tie(frozen, until) = {mark, s};
-        }
-        if (until->at - frozen->at >= config_.min_window) {
-            std::ostringstream detail;
-            detail << "a 2f+1 quorum was correct-and-connected but the ordered height "
-                   << "stood still at " << frozen->obs.decided << " for "
-                   << to_seconds(until->at - frozen->at) << " s (from " << to_seconds(frozen->at)
-                   << " s to " << to_seconds(until->at) << " s)";
-            violate(LivenessViolationKind::kNoOrderingProgress, from, to, kNoNode, detail.str());
-        }
     }
 
     if (config_.check_exports) check_exports_in(a->at, b->at);

@@ -10,9 +10,7 @@
 // Inside every such window (after a settle grace for view changes to
 // converge) it asserts bounded progress from periodic observations:
 //
-//   * the ordered height advances (the cluster decided new requests) and
-//     never stands still for min_window (a burst followed by a freeze is
-//     a stall too),
+//   * the ordered height advances (the cluster decided new requests),
 //   * the export backlog drains while the uplink and a DC are reachable,
 //   * a restarted node catches up to the cluster head within a bound.
 //
@@ -89,8 +87,7 @@ struct LivenessConfig {
     std::uint32_t f = 1;
 
     /// Quorum-capable windows shorter than settle + min_window are not
-    /// judged (a view change is allowed to eat the whole span), and a
-    /// judged window may not order nothing for min_window on end.
+    /// judged (a view change is allowed to eat the whole span).
     Duration min_window{seconds(8)};
     /// Grace at each window start for timers and view changes to settle.
     Duration settle{seconds(3)};

@@ -120,10 +120,12 @@ void Fleet::build() {
         cfg.health_monitor = monitors_.back().get();
         cfg.health_timeseries = nullptr;
         // Shard trace events are remapped into the train's pid band so a
-        // single Tracer yields one merged fleet trace (see trace_pid()).
+        // single Tracer yields one merged fleet trace (see trace_pid() and
+        // train_trace_pid()).
         if (config_.trace_sink != nullptr) {
             shard_sinks_.push_back(
-                std::make_unique<trace::OffsetSink>(*config_.trace_sink, trace_pid(t, 0)));
+                std::make_unique<trace::OffsetSink>(*config_.trace_sink, trace_pid(t, 0),
+                                                    train_trace_pid(t)));
             cfg.trace_sink = shard_sinks_.back().get();
         } else {
             cfg.trace_sink = nullptr;
@@ -317,32 +319,32 @@ std::string FleetReport::json() const {
                   "{\"trains\":%u,\"dc_count\":%u,\"elapsed_s\":%.3f", trains, dc_count,
                   elapsed_s);
     std::string out = buf;
-    const auto field = [&out](const char* key, std::uint64_t value) {
-        out += std::string(",\"") + key + "\":" + std::to_string(value);
-    };
-    field("logged_sum", logged_sum);
-    field("head_sum", head_sum);
-    field("exported_unique", exported_unique);
-    field("exported_duplicates", exported_duplicates);
-    field("cross_shard_collisions", cross_shard_collisions);
-    field("exports_completed", exports_completed);
-    field("exports_failed", exports_failed);
-    field("ingest_dropped", ingest_dropped);
-    field("audit_violations", audit_violations);
-    field("liveness_violations", liveness_violations);
-    out += ",\"alarms\":" + alarms.json() + ",\"per_train\":[";
+    out += ",\"logged_sum\":" + std::to_string(logged_sum);
+    out += ",\"head_sum\":" + std::to_string(head_sum);
+    out += ",\"exported_unique\":" + std::to_string(exported_unique);
+    out += ",\"exported_duplicates\":" + std::to_string(exported_duplicates);
+    out += ",\"cross_shard_collisions\":" + std::to_string(cross_shard_collisions);
+    out += ",\"exports_completed\":" + std::to_string(exports_completed);
+    out += ",\"exports_failed\":" + std::to_string(exports_failed);
+    out += ",\"ingest_dropped\":" + std::to_string(ingest_dropped);
+    out += ",\"audit_violations\":" + std::to_string(audit_violations);
+    out += ",\"liveness_violations\":" + std::to_string(liveness_violations);
+    out += ",\"alarms\":" + alarms.json();
+    out += ",\"per_train\":[";
+    bool first = true;
     for (const TrainReport& t : per_train) {
-        out += std::string(&t == per_train.data() ? "" : ",") +
-               "{\"train\":" + std::to_string(t.train);
-        field("nodes_alive", t.nodes_alive);
-        field("head", t.head);
-        field("logged", t.logged);
-        field("exported_head", t.exported_head);
-        field("exports_completed", t.exports_completed);
-        field("exports_failed", t.exports_failed);
-        field("active_alarms", t.active_alarms);
-        field("audit_violations", t.audit_violations);
-        field("liveness_violations", t.liveness_violations);
+        if (!first) out += ",";
+        first = false;
+        out += "{\"train\":" + std::to_string(t.train);
+        out += ",\"nodes_alive\":" + std::to_string(t.nodes_alive);
+        out += ",\"head\":" + std::to_string(t.head);
+        out += ",\"logged\":" + std::to_string(t.logged);
+        out += ",\"exported_head\":" + std::to_string(t.exported_head);
+        out += ",\"exports_completed\":" + std::to_string(t.exports_completed);
+        out += ",\"exports_failed\":" + std::to_string(t.exports_failed);
+        out += ",\"active_alarms\":" + std::to_string(t.active_alarms);
+        out += ",\"audit_violations\":" + std::to_string(t.audit_violations);
+        out += ",\"liveness_violations\":" + std::to_string(t.liveness_violations);
         out += "}";
     }
     out += "]}";

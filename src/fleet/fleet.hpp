@@ -115,11 +115,14 @@ struct FleetConfig {
 
 /// Merged-trace pid plan: every train shard gets a disjoint 1000-wide pid
 /// band (train t, node i -> 1000*(t+1)+i) while the shared data centers
-/// keep the single-consist convention (DC d -> 100+d). Process labels and
-/// tests use these helpers so the mapping has exactly one definition.
+/// keep the single-consist convention (DC d -> 100+d). The band's last
+/// slot is the train's own row: its LTE dead zones and its safety and
+/// liveness findings. Process labels and tests use these helpers so the
+/// mapping has exactly one definition.
 inline constexpr NodeId trace_pid(TrainId train, NodeId node) noexcept {
     return 1000u * (train + 1u) + node;
 }
+inline constexpr NodeId train_trace_pid(TrainId train) noexcept { return trace_pid(train, 999u); }
 inline constexpr NodeId dc_trace_pid(DataCenterId dc) noexcept { return 100u + dc; }
 
 struct TrainReport {

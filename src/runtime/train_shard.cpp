@@ -356,14 +356,22 @@ void TrainShard::install_state_fetcher(Node& node) {
                 }
 
                 std::vector<chain::Block> staged = src.range(anchor->base_height, target);
-                const bool ok = !staged.empty() &&
-                                staged.size() == target - anchor->base_height + 1 &&
-                                staged.front().header.height == anchor->base_height &&
-                                staged.front().hash() == anchor->base_hash &&
-                                staged.front().payload_valid() &&
-                                links_to(*self, staged, 1, anchor->base_height + 1,
-                                         anchor->base_hash, state);
-                if (!ok) {
+                bool ok = !staged.empty() &&
+                          staged.size() == target - anchor->base_height + 1 &&
+                          staged.front().header.height == anchor->base_height &&
+                          staged.front().hash() == anchor->base_hash &&
+                          staged.front().payload_valid();
+                crypto::Digest prev = ok ? anchor->base_hash : crypto::Digest{};
+                Height expect = anchor->base_height + 1;
+                for (std::size_t i = 1; ok && i < staged.size(); ++i) {
+                    const chain::Block& b = staged[i];
+                    self->crypto().charge_hash(b.size_bytes());
+                    ok = b.header.height == expect && b.header.parent_hash == prev &&
+                         b.payload_valid();
+                    prev = b.hash();
+                    expect += 1;
+                }
+                if (!ok || prev != state) {
                     reject_range(*self, *peer, "rebase", anchor->base_height, target, seq);
                     continue;
                 }
@@ -413,8 +421,18 @@ void TrainShard::install_state_fetcher(Node& node) {
 #else
             // Stage-then-adopt: validate the whole range incrementally
             // from our head up to the checkpoint digest, then append.
-            if (staged.size() != target - from + 1 ||
-                !links_to(*self, staged, 0, from, self->store().head_hash(), state)) {
+            bool ok = staged.size() == target - from + 1;
+            crypto::Digest prev = self->store().head_hash();
+            Height expect = from;
+            for (const chain::Block& b : staged) {
+                if (!ok) break;
+                self->crypto().charge_hash(b.size_bytes());
+                ok = b.header.height == expect && b.header.parent_hash == prev &&
+                     b.payload_valid();
+                prev = b.hash();
+                expect += 1;
+            }
+            if (!ok || prev != state) {
                 reject_range(*self, *peer, "state-transfer", from, target, seq);
                 continue;  // try the next peer
             }
@@ -428,19 +446,6 @@ void TrainShard::install_state_fetcher(Node& node) {
         }
         return false;
     });
-}
-
-bool TrainShard::links_to(Node& node, const std::vector<chain::Block>& staged, std::size_t first,
-                          Height height, crypto::Digest prev, const crypto::Digest& state) {
-    for (std::size_t i = first; i < staged.size(); ++i, ++height) {
-        const chain::Block& b = staged[i];
-        node.crypto().charge_hash(b.size_bytes());
-        if (b.header.height != height || b.header.parent_hash != prev || !b.payload_valid()) {
-            return false;
-        }
-        prev = b.hash();
-    }
-    return prev == state;
 }
 
 void TrainShard::mark_logged(Node& node, const chain::Block& block) {

@@ -156,12 +156,7 @@ private:
     /// and the DCs (only its outbound direction if asymmetric).
     void apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked);
 
-    // State-transfer validation and bookkeeping shared by every adoption
-    // path. links_to: staged[first..] continues `prev` from `height` on,
-    // block by block with intact payloads (hashing charged to `node`), and
-    // ends at the checkpoint digest `state`.
-    static bool links_to(Node& node, const std::vector<chain::Block>& staged, std::size_t first,
-                         Height height, crypto::Digest prev, const crypto::Digest& state);
+    // State-transfer bookkeeping shared by every adoption path.
     void mark_logged(Node& node, const chain::Block& block);
     bool note_fetched(const Node& node, SeqNo seq, std::uint64_t blocks);
     void reject_range(const Node& node, const Node& peer, const char* kind, Height from,

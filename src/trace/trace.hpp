@@ -160,10 +160,12 @@ private:
 /// Remaps node ids into a disjoint pid range before forwarding, so several
 /// shards sharing one Tracer land in distinct process rows of the merged
 /// fleet trace (train t node i -> 1000*(t+1)+i; shared DCs keep 100+d).
-/// kNoNode (fleet-wide events such as LTE flaps) passes through unchanged.
+/// kNoNode (events of the consist as a whole: LTE flaps, audit findings)
+/// goes to `unattributed`, which by default leaves it unchanged.
 class OffsetSink final : public TraceSink {
 public:
-    OffsetSink(TraceSink& inner, NodeId base) noexcept : inner_(inner), base_(base) {}
+    OffsetSink(TraceSink& inner, NodeId base, NodeId unattributed = kNoNode) noexcept
+        : inner_(inner), base_(base), unattributed_(unattributed) {}
 
     void event(NodeId node, TimePoint at, Phase phase, TraceId trace,
                std::uint64_t arg) override {
@@ -175,10 +177,13 @@ public:
     }
 
 private:
-    NodeId map(NodeId node) const noexcept { return node == kNoNode ? node : base_ + node; }
+    NodeId map(NodeId node) const noexcept {
+        return node == kNoNode ? unattributed_ : base_ + node;
+    }
 
     TraceSink& inner_;
     NodeId base_;
+    NodeId unattributed_;
 };
 
 /// Recording sink: optional full event capture (Chrome JSON export) plus

@@ -111,6 +111,32 @@ TEST(FleetTrace, OverlayNodeFlapTracesLinkDownAndUpOnTheTrainsPid) {
     EXPECT_EQ(count_events(json, "link_down", trace_pid(0, 2)), 0u) << "train 0 never flapped";
 }
 
+TEST(FleetTrace, DeadZonesAndLivenessFindingsLandOnTheirTrainsRow) {
+    // Events of a consist as a whole are traced without a node; in a fleet
+    // they must still say which train they belong to.
+    trace::Tracer tracer(/*capture_events=*/true);
+    FleetConfig cfg = traced_config(&tracer);
+    cfg.trains = 2;
+    cfg.duration = seconds(16);
+    cfg.audit_liveness = true;
+    cfg.chaos.dead_zones.push_back({0, seconds(4), seconds(3)});
+    cfg.chaos.dead_zones.push_back({1, seconds(6), seconds(3)});
+    for (NodeId i = 0; i < cfg.train.n; ++i) cfg.overlays[1].cpu_profiles[i] = 20.0;
+    Fleet fleet(cfg);
+    fleet.run();
+    const std::string json = tracer.chrome_json();
+    for (TrainId t = 0; t < 2; ++t) {
+        EXPECT_EQ(count_events(json, "link_down", train_trace_pid(t)), 1u) << "train " << t;
+        EXPECT_EQ(count_events(json, "link_up", train_trace_pid(t)), 1u) << "train " << t;
+        // Each train's row carries exactly its own auditor's findings.
+        EXPECT_EQ(count_events(json, "liveness_violation", train_trace_pid(t)),
+                  fleet.liveness(t)->report().violations.size())
+            << "train " << t;
+    }
+    EXPECT_FALSE(fleet.liveness(1)->report().clean()) << "train 1 limps into a stall";
+    EXPECT_EQ(json.find("\"pid\":" + std::to_string(kNoNode)), std::string::npos);
+}
+
 TEST(FleetTrace, OffsetSinkRemapsAllButNoNode) {
     trace::Tracer tracer(true);
     trace::OffsetSink offset(tracer, 2000);

@@ -516,6 +516,7 @@ int run_fleet(const Args& args) {
                                                                      "-node-" +
                                                                      std::to_string(i));
             }
+            tracer.set_process_label(fleet::train_trace_pid(t), "train-" + std::to_string(t));
         }
         for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
             tracer.set_process_label(fleet::dc_trace_pid(d), "dc-" + std::to_string(d));
