@@ -60,15 +60,17 @@ int main(int argc, char** argv) {
 
     std::vector<BenchRow> rows;
 
-    // Single consist: compressed two-hour "days" so every phase (service
-    // bursts, tunnels, depot trickle) falls inside the horizon.
+    // Single consist (a one-train fleet): compressed two-hour "days" so
+    // every phase (service bursts, tunnels, depot trickle) falls inside the
+    // horizon.
     {
         journey::SoakOptions so;
-        so.base.seed = 1;
-        so.base.bus_cycle = milliseconds(512);
-        so.base.payload_size = 256;
-        so.fleet = false;
-        so.dc_count = 2;
+        so.fleet.trains = 1;
+        so.fleet.seed = 1;
+        so.fleet.train.bus_cycle = milliseconds(512);
+        so.fleet.train.payload_size = 256;
+        so.fleet.dc_count = 2;
+        so.fleet.export_period = seconds(120);
         so.journey_seed = 7;
         so.recipes = 3;
         so.journey.day_length = seconds(7200);
@@ -80,13 +82,13 @@ int main(int argc, char** argv) {
     // Fleet of four on a slower cycle (the long-haul archive workload).
     {
         journey::SoakOptions so;
-        so.base.seed = 1;
-        so.base.bus_cycle = milliseconds(1024);
-        so.base.payload_size = 256;
-        so.base.block_size = 8;
-        so.fleet = true;
-        so.trains = 4;
-        so.dc_count = 2;
+        so.fleet.trains = 4;
+        so.fleet.seed = 1;
+        so.fleet.train.bus_cycle = milliseconds(1024);
+        so.fleet.train.payload_size = 256;
+        so.fleet.train.block_size = 8;
+        so.fleet.dc_count = 2;
+        so.fleet.export_period = seconds(120);
         so.journey_seed = 7;
         so.recipes = 3;
         so.journey.day_length = seconds(7200);

@@ -35,7 +35,6 @@ int main() {
     journey::CompilerOptions co;
     co.n = 4;
     co.f = 1;
-    co.fleet = true;
     co.dc_count = 2;
     co.recipes = 3;
     const journey::CompiledJourney compiled = journey::compile(plan, co);
@@ -47,12 +46,12 @@ int main() {
     // the bounded-memory plateau check. A slow bus cycle keeps the demo
     // snappy; drop it to 64 ms for the paper's full telegram rate.
     journey::SoakOptions so;
-    so.base.seed = 7;
-    so.base.bus_cycle = milliseconds(512);
-    so.base.payload_size = 256;
-    so.fleet = true;
-    so.trains = 2;
-    so.dc_count = 2;
+    so.fleet.trains = 2;
+    so.fleet.seed = 7;
+    so.fleet.train.bus_cycle = milliseconds(512);
+    so.fleet.train.payload_size = 256;
+    so.fleet.dc_count = 2;
+    so.fleet.export_period = seconds(120);
     so.horizon = seconds(2 * 3600);
     so.segment = seconds(900);
     so.journey_seed = 42;
@@ -62,7 +61,7 @@ int main() {
     so.journey.day_length = seconds(2 * 3600);
     so.journey.service_length = seconds(90 * 60);
 
-    std::printf("\nsoaking 2 simulated hours (fleet of %u)...\n", so.trains);
+    std::printf("\nsoaking 2 simulated hours (fleet of %u)...\n", so.fleet.trains);
     const journey::SoakReport report = journey::run_soak(so);
     std::printf("%s", report.summary().c_str());
     std::printf("exit code: %d\n", report.exit_code());

@@ -132,7 +132,8 @@ void Fleet::build() {
         }
         // Contended LTE: trains_per_cell shards share one cell, so each
         // shard's uplink is provisioned with its static share of the cell.
-        cfg.lte_link.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
+        cfg.lte_link.bandwidth_bps /=
+            std::clamp<std::uint32_t>(config_.trains_per_cell, 1, config_.trains);
         cfg.byzantine.clear();
         const auto byz = config_.byzantine.find(t);
         if (byz != config_.byzantine.end()) cfg.byzantine = byz->second;

@@ -59,8 +59,9 @@ struct FleetConfig {
     std::size_t dc_ingest_queue = 4096;
 
     /// LTE cell sharing: this many trains share one cell, so each shard's
-    /// uplink gets bandwidth / trains_per_cell (static division — the
-    /// deterministic stand-in for dynamic cell contention).
+    /// uplink gets bandwidth / min(trains_per_cell, trains) (static
+    /// division — the deterministic stand-in for dynamic cell contention;
+    /// a cell is shared only by trains that exist).
     std::uint32_t trains_per_cell = 8;
 
     /// Periodic exports: every train starts a round every export_period,

@@ -67,10 +67,7 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     CompiledJourney out;
     out.overlays.resize(plan.trains.size());
 
-    // Mechanical lowering of the timetable. Tunnel flap indices are kept
-    // per train so a DC-outage recipe in single-consist mode can widen
-    // the matching uplink window instead of emitting an overlapping one.
-    std::vector<std::vector<std::size_t>> tunnel_flap(plan.trains.size());
+    // Mechanical lowering of the timetable.
     std::vector<std::vector<const Segment*>> tunnels(plan.trains.size());
     std::vector<std::vector<const Segment*>> stations(plan.trains.size());
     for (std::size_t t = 0; t < plan.trains.size(); ++t) {
@@ -90,7 +87,6 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                     flap.at = seg.at;
                     flap.duration = seg.duration;
                     flap.link = ScenarioConfig::LinkFlap::Link::kLte;
-                    tunnel_flap[t].push_back(ov.link_flaps.size());
                     ov.link_flaps.push_back(flap);
                     tunnels[t].push_back(&seg);
                     break;
@@ -176,34 +172,14 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                     static_cast<DataCenterId>(rng.next_below(opts.dc_count));
                 const std::size_t start = rng.next_below(tunnels[t].size());
                 for (std::size_t k = 0; k < tunnels[t].size(); ++k) {
-                    const std::size_t idx = (start + k) % tunnels[t].size();
-                    const Segment* tun = tunnels[t][idx];
+                    const Segment* tun = tunnels[t][(start + k) % tunnels[t].size()];
                     if (tun->duration < seconds(60)) continue;
-                    if (opts.fleet) {
-                        const Duration at =
-                            tun->at > seconds(10) ? tun->at - seconds(10) : Duration::zero();
-                        const Duration dur = tun->at - at + tun->duration + seconds(40);
-                        out.dc_outages.push_back({dc, at, dur});
-                        out.recipes.push_back(
-                            {kind, static_cast<std::uint32_t>(t), kNoNode, dc, at, dur});
-                    } else {
-                        // Single consist: fold the outage into a widened
-                        // uplink window (the DC being down and the uplink
-                        // being dark are indistinguishable on-train), but
-                        // only if the widening stays clear of the next
-                        // tunnel's flap.
-                        auto& flap = ov.link_flaps[tunnel_flap[t][idx]];
-                        const Duration widened = flap.duration + seconds(45);
-                        const std::size_t next = tunnel_flap[t][idx] + 1;
-                        bool clear = true;
-                        for (std::size_t j = next; j < ov.link_flaps.size(); ++j) {
-                            if (ov.link_flaps[j].at < flap.at + widened) clear = false;
-                        }
-                        if (!clear) continue;
-                        flap.duration = widened;
-                        out.recipes.push_back({kind, static_cast<std::uint32_t>(t), kNoNode, 0,
-                                               flap.at, widened});
-                    }
+                    const Duration at =
+                        tun->at > seconds(10) ? tun->at - seconds(10) : Duration::zero();
+                    const Duration dur = tun->at - at + tun->duration + seconds(40);
+                    out.dc_outages.push_back({dc, at, dur});
+                    out.recipes.push_back(
+                        {kind, static_cast<std::uint32_t>(t), kNoNode, dc, at, dur});
                     break;
                 }
                 break;
@@ -248,10 +224,6 @@ std::string CompiledJourney::summary() const {
         out += "  " + r.describe() + "\n";
     }
     return out;
-}
-
-void apply(const CompiledJourney& compiled, runtime::ScenarioConfig& cfg) {
-    if (!compiled.overlays.empty()) cfg.append(compiled.overlays.front());
 }
 
 void apply(const CompiledJourney& compiled, fleet::FleetConfig& cfg) {

@@ -12,8 +12,7 @@
 //   * a crash of the view-0 primary lineage in the middle of a tunnel
 //     (view change while every export retry is dark),
 //   * a data-center outage covering a train's dead zone (both ends of the
-//     juridical pipeline gone at once; single-consist mode folds this
-//     into a widened uplink outage),
+//     juridical pipeline gone at once),
 //   * a node held down across several export rounds, so the surviving
 //     quorum prunes past its head and the restart must rebase onto the
 //     exported anchor instead of replaying from genesis.
@@ -33,7 +32,6 @@
 
 #include "fleet/fleet.hpp"
 #include "journey/journey.hpp"
-#include "runtime/scenario.hpp"
 
 namespace zc::journey {
 
@@ -65,7 +63,6 @@ struct RecipeInstance {
 struct CompilerOptions {
     std::uint32_t n = 4;
     std::uint32_t f = 1;
-    bool fleet = false;
     std::uint32_t dc_count = 2;
 
     /// Compounded recipes to weave in, cycled across the kinds and the
@@ -86,10 +83,10 @@ struct CompilerOptions {
 };
 
 struct CompiledJourney {
-    /// Index = train. Single-consist harnesses use overlays[0].
+    /// Index = train.
     std::vector<fleet::FleetConfig::TrainOverlay> overlays;
 
-    /// Fleet-only: shared data-center outages from dead-zone recipes.
+    /// Shared data-center outages from dead-zone recipes.
     std::vector<fleet::FleetChaos::DcOutage> dc_outages;
 
     /// Recipes actually placed (budget-violating ones are dropped).
@@ -103,10 +100,6 @@ struct CompiledJourney {
 /// would indicate a compiler bug, not a caller error — placement is
 /// conservative by construction).
 CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts);
-
-/// Installs overlay 0 onto a single-consist scenario config (appends to
-/// any schedules already present).
-void apply(const CompiledJourney& compiled, runtime::ScenarioConfig& cfg);
 
 /// Installs every overlay plus the DC outages onto a fleet config.
 void apply(const CompiledJourney& compiled, fleet::FleetConfig& cfg);

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <stdexcept>
 
-#include "export/data_center.hpp"
 #include "faults/auditor.hpp"
 #include "fleet/fleet.hpp"
 #include "health/monitor.hpp"
@@ -15,7 +13,13 @@ namespace zc::journey {
 
 namespace {
 
-/// Everything sampled at one segment boundary, mode-agnostic.
+using fleet::TrainId;
+
+/// Health-sampling cadence, widened from the fleet's short-run default so
+/// a multi-day soak does not drown in samples.
+constexpr Duration kSamplePeriod = seconds(4);
+
+/// Everything sampled at one segment boundary.
 struct BoundaryProbe {
     std::uint64_t telegrams = 0;  ///< fleet-wide (sum of per-train max)
     std::uint64_t logged = 0;
@@ -144,125 +148,55 @@ SoakReport run_soak(const SoakOptions& options) {
         options.segment > options.horizon) {
         throw std::invalid_argument("soak: need 0 < segment <= horizon");
     }
-    if (options.fleet && options.trains == 0) {
-        throw std::invalid_argument("soak: fleet mode needs trains >= 1");
-    }
+
+    fleet::FleetConfig fc = options.fleet;
+    fc.duration = options.horizon;
+    fc.train.audit_period = Duration::zero();  // boundary-driven
+    fc.sample_period = kSamplePeriod;
+    fc.audit = true;
 
     // Compile the journey (if any) before building anything expensive.
     CompiledJourney compiled;
     if (options.journey_seed != 0) {
         JourneyConfig jc = options.journey;
         jc.seed = options.journey_seed;
-        jc.trains = options.fleet ? options.trains : 1;
-        jc.nodes = options.base.n;
+        jc.trains = fc.trains;
+        jc.nodes = fc.train.n;
         const auto day = jc.day_length.count();
         jc.days = static_cast<std::uint32_t>((options.horizon.count() + day - 1) / day);
 
         CompilerOptions co = options.compiler;
-        co.n = options.base.n;
-        co.f = options.base.f;
-        co.fleet = options.fleet;
-        co.dc_count = options.dc_count;
+        co.n = fc.train.n;
+        co.f = fc.train.f;
+        co.dc_count = fc.dc_count;
         co.recipes = options.recipes;
-        co.export_period = options.export_period;
-        if (!options.fleet) {
-            for (const auto& kv : options.base.byzantine) co.byzantine[0].insert(kv.first);
+        co.export_period = fc.export_period;
+        for (const auto& [train, nodes] : fc.byzantine) {
+            for (const auto& kv : nodes) co.byzantine[train].insert(kv.first);
         }
         compiled = compile(generate(jc), co);
+        apply(compiled, fc);
     }
 
     SoakReport rep;
-    rep.fleet = options.fleet;
-    rep.trains = options.fleet ? options.trains : 1;
-    rep.dc_count = options.dc_count;
-    rep.seed = options.base.seed;
+    rep.fleet = fc.trains > 1;
+    rep.trains = fc.trains;
+    rep.dc_count = fc.dc_count;
+    rep.seed = fc.seed;
     rep.journey_seed = options.journey_seed;
     rep.horizon = options.horizon;
     rep.segment_length = options.segment;
     for (const RecipeInstance& r : compiled.recipes) rep.recipes.push_back(r.describe());
 
-    // -- build the harness (mode-specific; probed through its shards) --
-    std::unique_ptr<faults::SafetyAuditor> single_auditor;
-    std::unique_ptr<health::HealthMonitor> single_monitor;
-    std::unique_ptr<runtime::Scenario> scenario;
-    std::unique_ptr<fleet::Fleet> fl;
-
-    std::vector<runtime::TrainShard*> shards;
-    std::vector<const health::HealthMonitor*> monitors;
-    std::vector<faults::SafetyAuditor*> auditors;
-
-    // Watchdogs track exports on the soak's cadence (the fleet computes
-    // the same config from its own export period).
-    const health::MonitorConfig monitor_cfg = health::MonitorConfig{}.watching_exports(
-        options.dc_count, options.export_period,
-        options.base.bus_cycle * static_cast<std::int64_t>(options.base.block_size));
-    if (!options.fleet) {
-        runtime::ScenarioConfig sc = options.base;
-        sc.dc_count = options.dc_count;
-        if (options.dc_count > 0) {
-            sc.delete_quorum =
-                std::min<std::size_t>(sc.delete_quorum, options.dc_count);
-        }
-        sc.duration = options.horizon;
-        sc.mem_sample_period = options.mem_sample_period;
-        sc.audit_period = Duration::zero();  // boundary-driven
-        if (options.audit) {
-            single_auditor = std::make_unique<faults::SafetyAuditor>();
-            sc.auditor = single_auditor.get();
-            auditors.push_back(single_auditor.get());
-        }
-        single_monitor = std::make_unique<health::HealthMonitor>(monitor_cfg);
-        sc.health_monitor = single_monitor.get();
-        if (options.journey_seed != 0) apply(compiled, sc);
-
-        scenario = std::make_unique<runtime::Scenario>(sc);
-        monitors.push_back(single_monitor.get());
-        shards.push_back(&scenario->shard());
-
-        // Single-consist mode has no fleet exporter loop: one staggered
-        // ticker per data center starts a round every period so pruning
-        // keeps pace with the chain (a round in flight is left alone;
-        // retries own the backoff).
-        for (std::uint32_t d = 0; d < options.dc_count; ++d) {
-            scenario->sim().every(
-                sc.warmup + (options.export_period * static_cast<std::int64_t>(d + 1)) /
-                                static_cast<std::int64_t>(options.dc_count),
-                options.export_period, [&scenario, d] {
-                    exporter::DataCenter& dc = scenario->data_center(d);
-                    if (!dc.exporting()) dc.start_export();
-                });
-        }
-    } else {
-        fleet::FleetConfig fc;
-        fc.trains = options.trains;
-        fc.seed = options.base.seed;
-        fc.train = options.base;
-        fc.train.audit_period = Duration::zero();  // boundary-driven
-        fc.dc_count = options.dc_count;
-        fc.export_period = options.export_period;
-        fc.warmup = options.base.warmup;
-        fc.duration = options.horizon;
-        fc.sample_period = options.fleet_sample_period;
-        fc.audit = options.audit;
-        if (options.journey_seed != 0) apply(compiled, fc);
-
-        fl = std::make_unique<fleet::Fleet>(std::move(fc));
-        for (std::uint32_t t = 0; t < options.trains; ++t) {
-            shards.push_back(&fl->shard(t));
-            monitors.push_back(fl->monitor(t));
-            if (auto* a = fl->auditor(t)) auditors.push_back(a);
-        }
-    }
-    sim::Simulation& sim = fl ? fl->sim() : scenario->sim();
-    const auto advance = [&](Duration d) { fl ? fl->run_for(d) : scenario->run_for(d); };
-    const auto audit_pass = [&] { fl ? fl->run_audit() : scenario->run_audit(); };
+    fleet::Fleet fl(std::move(fc));
     const auto probe = [&] {
         BoundaryProbe p;
-        for (runtime::TrainShard* shard : shards) {
-            const runtime::TrainSample s = shard->sample();
+        for (TrainId t = 0; t < fl.train_count(); ++t) {
+            runtime::TrainShard& shard = fl.shard(t);
+            const runtime::TrainSample s = shard.sample();
             std::uint64_t telegrams = 0;
-            for (std::size_t i = 0; i < shard->node_count(); ++i) {
-                runtime::Node& node = shard->node(i);
+            for (std::size_t i = 0; i < shard.node_count(); ++i) {
+                runtime::Node& node = shard.node(i);
                 telegrams = std::max(telegrams, node.telegrams_seen());
                 p.node_total = std::max(p.node_total, node.memory().total_bytes());
                 for (const auto& g : node.memory().gauges()) {
@@ -274,18 +208,18 @@ SoakReport run_soak(const SoakOptions& options) {
             p.logged += s.logged;
             p.blocks += s.head;
         }
-        p.pending = sim.pending_events();
-        for (std::uint32_t d = 0; fl && d < fl->dc_count(); ++d) {
-            p.dc_depth += fl->data_center(d).ingest_queue_depth();
+        p.pending = fl.sim().pending_events();
+        for (std::uint32_t d = 0; d < fl.dc_count(); ++d) {
+            p.dc_depth += fl.data_center(d).ingest_queue_depth();
         }
         return p;
     };
 
     // -- drive the horizon in segments --
-    advance(options.base.warmup);
+    fl.run_for(fl.config().warmup);
 
     std::map<std::string, PlateauState> plateau;
-    std::vector<std::size_t> audit_seen(auditors.size(), 0);
+    std::vector<std::size_t> audit_seen(fl.train_count(), 0);
     const std::uint32_t ref_end = options.grace_segments + options.reference_segments;
     std::uint64_t prev_telegrams = 0;
     Duration at{0};
@@ -314,7 +248,7 @@ SoakReport run_soak(const SoakOptions& options) {
 
     while (at < options.horizon) {
         const Duration step = std::min(options.segment, options.horizon - at);
-        advance(step);
+        fl.run_for(step);
         const Duration seg_start = at;
         at = at + step;
 
@@ -323,27 +257,26 @@ SoakReport run_soak(const SoakOptions& options) {
         prev_telegrams = p.telegrams;
 
         std::uint64_t audit_total = 0;
-        if (options.audit) {
-            audit_pass();
-            for (std::size_t a = 0; a < auditors.size(); ++a) {
-                const auto& violations = auditors[a]->report().violations;
-                for (std::size_t v = audit_seen[a]; v < violations.size(); ++v) {
-                    if (rep.violations.size() < 64) {
-                        rep.violations.push_back(
-                            {"audit", faults::violation_name(violations[v].kind), seg_start, at,
-                             violations[v].detail});
-                    }
+        fl.run_audit();
+        for (TrainId t = 0; t < fl.train_count(); ++t) {
+            faults::SafetyAuditor& auditor = *fl.auditor(t);
+            const auto& violations = auditor.report().violations;
+            for (std::size_t v = audit_seen[t]; v < violations.size(); ++v) {
+                if (rep.violations.size() < 64) {
+                    rep.violations.push_back({"audit", faults::violation_name(violations[v].kind),
+                                              seg_start, at, violations[v].detail});
                 }
-                audit_seen[a] = violations.size();
-                audit_total += violations.size();
-                auditors[a]->compact();
             }
+            audit_seen[t] = violations.size();
+            audit_total += violations.size();
+            auditor.compact();
         }
 
         std::uint64_t fired = 0, cleared = 0;
-        for (const auto* m : monitors) {
-            fired += m->alarms().size();
-            cleared += m->alarms().size() - m->active_alarms();
+        for (TrainId t = 0; t < fl.train_count(); ++t) {
+            const health::HealthMonitor& m = *fl.monitor(t);
+            fired += m.alarms().size();
+            cleared += m.alarms().size() - m.active_alarms();
         }
 
         SoakSegment seg;
@@ -378,11 +311,11 @@ SoakReport run_soak(const SoakOptions& options) {
 
     // Alarms still latched at the end of the horizon are unresolved
     // degradation, not transient chaos response.
-    for (std::size_t train = 0; train < monitors.size(); ++train) {
-        for (const auto& alarm : monitors[train]->alarms()) {
+    for (TrainId t = 0; t < fl.train_count(); ++t) {
+        for (const auto& alarm : fl.monitor(t)->alarms()) {
             if (alarm.cleared) continue;
             char detail[160];
-            std::snprintf(detail, sizeof(detail), "train %zu node %u: %s", train, alarm.node,
+            std::snprintf(detail, sizeof(detail), "train %u node %u: %s", t, alarm.node,
                           alarm.detail.c_str());
             rep.violations.push_back({"stuck-alarm", health::alarm_kind_name(alarm.kind),
                                       alarm.first_seen, options.horizon, detail});

@@ -7,8 +7,8 @@
 // does something creep (a chain that outruns its pruning, a queue that
 // never drains, a leaked timer, an alarm that latches forever)?
 //
-// The runner drives a single consist (runtime::Scenario) or a fleet
-// (fleet::Fleet) in fixed virtual-time segments. At each boundary it:
+// The runner drives a fleet::Fleet (a single-consist soak is a one-train
+// fleet) in fixed virtual-time segments. At each boundary it:
 //   * runs a SafetyAuditor pass (fork/hash-link/signature/no-lost-input/
 //     export-proof invariants) and compacts the auditor's tap state,
 //   * sweeps the health monitors' alarm lists,
@@ -32,23 +32,20 @@
 
 #include "journey/compiler.hpp"
 #include "journey/journey.hpp"
-#include "runtime/scenario.hpp"
 
 namespace zc::journey {
 
 struct SoakOptions {
-    /// Workload template (n, f, seed, bus cycle, payload, timers...).
-    /// `duration`, `warmup`, `dc_count`, `mem_sample_period`, auditor and
-    /// monitor pointers are overridden by the runner.
-    runtime::ScenarioConfig base;
-
-    bool fleet = false;
-    std::uint32_t trains = 4;     ///< fleet mode only
-    std::uint32_t dc_count = 2;
+    /// Fleet template: trains (1 = single consist), seed, the per-train
+    /// workload (n, f, bus cycle, payload, timers, adversaries), DCs,
+    /// export cadence, LTE cell share, store root. The runner overrides
+    /// `duration` (= horizon), `train.audit_period` (0: audits run at
+    /// segment boundaries), `sample_period` (4 s) and `audit` (always on),
+    /// and installs the compiled journey's overlays and DC outages.
+    fleet::FleetConfig fleet;
 
     Duration horizon{seconds(2 * 86'400)};
     Duration segment{seconds(900)};
-    Duration export_period{seconds(120)};
 
     /// 0 = quiet soak (no journey, no chaos). Otherwise the seed of the
     /// generated journey whose compiled schedules are installed.
@@ -56,10 +53,8 @@ struct SoakOptions {
     std::uint32_t recipes = 3;
     /// Journey shape knobs; seed/trains/days/nodes are derived.
     JourneyConfig journey;
-    /// Compiler knobs; n/f/fleet/dc_count/export_period are derived.
+    /// Compiler knobs; n/f/dc_count/export_period/byzantine are derived.
     CompilerOptions compiler;
-
-    bool audit = true;
 
     // Bounded-memory plateau check. The reference for each metric is its
     // maximum over `reference_segments` boundaries following
@@ -71,11 +66,6 @@ struct SoakOptions {
     std::int64_t mem_floor_bytes = 8ll << 20;
     double event_slack = 1.0;
     std::int64_t event_floor = 1024;
-
-    /// Sampling cadences, widened from the short-run defaults so a
-    /// multi-day soak does not drown in samples.
-    Duration mem_sample_period{seconds(5)};
-    Duration fleet_sample_period{seconds(4)};
 };
 
 struct SoakViolation {
@@ -97,11 +87,11 @@ struct SoakSegment {
     std::int64_t mem_node_peak_bytes = 0;  ///< max node logical memory
     std::int64_t chain_bytes = 0;          ///< max "chain" gauge
     std::uint64_t pending_events = 0;      ///< simulator queue depth
-    std::uint64_t dc_ingest_depth = 0;     ///< fleet: sum of DC queues
+    std::uint64_t dc_ingest_depth = 0;     ///< sum of DC ingest queues
 };
 
 struct SoakReport {
-    bool fleet = false;
+    bool fleet = false;  ///< more than one train
     std::uint32_t trains = 1;
     std::uint32_t dc_count = 0;
     std::uint64_t seed = 0;
@@ -139,7 +129,7 @@ struct SoakReport {
 };
 
 /// Runs the soak. Throws std::invalid_argument on nonsensical options
-/// (zero-length horizon/segment, segment longer than horizon).
+/// (zero-length horizon/segment, segment longer than horizon, no train).
 SoakReport run_soak(const SoakOptions& options);
 
 }  // namespace zc::journey

@@ -60,6 +60,15 @@ TEST(Fleet, RejectsByzantineEntryForOutOfRangeTrain) {
     EXPECT_THROW(Fleet{cfg}, std::invalid_argument);
 }
 
+TEST(Fleet, LoneTrainKeepsTheWholeLteCell) {
+    // A cell is shared only by trains that exist: one train under eight
+    // trains per cell keeps the template's full uplink.
+    FleetConfig cfg = base_config(1);
+    cfg.trains_per_cell = 8;
+    Fleet fleet(cfg);
+    EXPECT_EQ(fleet.shard(0).config().lte_link.bandwidth_bps, cfg.train.lte_link.bandwidth_bps);
+}
+
 TEST(Fleet, SmallFleetRecordsAndExportsOnEveryShard) {
     Fleet fleet(base_config(3));
     fleet.run();
@@ -201,7 +210,10 @@ TEST(Fleet, TinyIngestQueueDropsButStaysSafe) {
     // One single-core frontend with a one-deep queue, hammered by four
     // shards exporting every 1.5 s: proof verification occupies the core
     // for tens of virtual ms, so concurrent rounds must shed messages.
+    // Each shard's uplink is 1/8 of the default cell, as if the four
+    // trains shared it with four more.
     FleetConfig cfg = base_config(4);
+    cfg.train.lte_link.bandwidth_bps /= 2;
     cfg.train.payload_size = 1024;
     cfg.export_period = milliseconds(1500);
     cfg.dc_ingest_queue = 1;  // absurdly small shared frontend

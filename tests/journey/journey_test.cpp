@@ -3,6 +3,8 @@
 // guarantee of compiled recipes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "journey/compiler.hpp"
 #include "journey/journey.hpp"
 #include "runtime/validate.hpp"
@@ -111,7 +113,6 @@ TEST(Journey, RejectsNonsenseConfig) {
 TEST(JourneyCompiler, CompileIsDeterministic) {
     const JourneyPlan plan = generate(small_config());
     CompilerOptions opts;
-    opts.fleet = true;
     opts.recipes = 3;
     const CompiledJourney a = compile(plan, opts);
     const CompiledJourney b = compile(plan, opts);
@@ -123,6 +124,8 @@ TEST(JourneyCompiler, CompileIsDeterministic) {
 }
 
 TEST(JourneyCompiler, CompiledSingleConsistScheduleValidates) {
+    // A single consist is a one-train fleet: its DC-outage recipe is a
+    // real data-center outage, not a widened uplink flap.
     JourneyConfig jc = small_config();
     jc.trains = 1;
     const JourneyPlan plan = generate(jc);
@@ -130,21 +133,31 @@ TEST(JourneyCompiler, CompiledSingleConsistScheduleValidates) {
     opts.recipes = 3;
     const CompiledJourney compiled = compile(plan, opts);
     ASSERT_EQ(compiled.overlays.size(), 1u);
-    EXPECT_TRUE(compiled.dc_outages.empty()) << "single mode folds DC outages";
+    ASSERT_EQ(compiled.dc_outages.size(), 1u) << compiled.summary();
 
-    runtime::ScenarioConfig cfg;
-    cfg.n = opts.n;
-    cfg.f = opts.f;
+    fleet::FleetConfig cfg;
+    cfg.trains = 1;
+    cfg.train.n = opts.n;
+    cfg.train.f = opts.f;
     apply(compiled, cfg);
-    EXPECT_EQ(runtime::validate_scenario_faults(cfg), std::nullopt);
-    EXPECT_FALSE(cfg.rate_windows.empty()) << "dwell/depot windows installed";
-    EXPECT_FALSE(cfg.link_flaps.empty()) << "tunnel dead zones installed";
+    ASSERT_EQ(cfg.chaos.dc_outages.size(), 1u);
+    EXPECT_LT(cfg.chaos.dc_outages[0].dc, cfg.dc_count);
+    const auto& segments = plan.trains[0].segments;
+    const auto& outage = cfg.chaos.dc_outages[0];
+    EXPECT_TRUE(std::any_of(segments.begin(), segments.end(), [&](const Segment& seg) {
+        return seg.kind == SegmentKind::kTunnel && outage.at <= seg.at &&
+               seg.at + seg.duration <= outage.at + outage.duration;
+    })) << "the outage covers a dead zone";
+
+    EXPECT_FALSE(cfg.overlays.at(0).rate_windows.empty()) << "dwell/depot windows installed";
+    EXPECT_FALSE(cfg.overlays.at(0).link_flaps.empty()) << "tunnel dead zones installed";
+    // The train's shard validates its overlay against the f budget.
+    EXPECT_NO_THROW(fleet::Fleet{cfg});
 }
 
 TEST(JourneyCompiler, CompiledFleetSchedulesValidatePerTrain) {
     const JourneyPlan plan = generate(small_config());
     CompilerOptions opts;
-    opts.fleet = true;
     opts.recipes = 6;  // two full cycles across three trains
     const CompiledJourney compiled = compile(plan, opts);
     ASSERT_EQ(compiled.overlays.size(), plan.trains.size());

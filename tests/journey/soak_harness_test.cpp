@@ -1,7 +1,7 @@
 // Soak harness integration tests (SLOW): a compounded-chaos soak over a
 // compressed multi-"day" horizon must finish clean (exit 0 — audits,
 // alarms and the bounded-memory plateau all quiet) and the same seed
-// must reproduce the JSON report byte for byte, single-consist and
+// must reproduce the JSON report byte for byte, for one train and for a
 // fleet.
 #include <gtest/gtest.h>
 
@@ -12,11 +12,12 @@ namespace {
 
 SoakOptions quick_single() {
     SoakOptions so;
-    so.base.seed = 1;
-    so.base.bus_cycle = milliseconds(512);
-    so.base.payload_size = 256;
-    so.fleet = false;
-    so.dc_count = 2;
+    so.fleet.trains = 1;
+    so.fleet.seed = 1;
+    so.fleet.train.bus_cycle = milliseconds(512);
+    so.fleet.train.payload_size = 256;
+    so.fleet.dc_count = 2;
+    so.fleet.export_period = seconds(90);
     so.journey_seed = 7;
     so.recipes = 3;
     // Two compressed half-hour "days" inside a one-hour horizon.
@@ -24,7 +25,6 @@ SoakOptions quick_single() {
     so.journey.service_length = seconds(1350);
     so.horizon = seconds(3600);
     so.segment = seconds(600);
-    so.export_period = seconds(90);
     return so;
 }
 
@@ -53,9 +53,8 @@ TEST(SoakHarness, SameSeedSoakReportsAreByteIdentical) {
 
 TEST(SoakHarness, FleetSoakFinishesCleanAndDeterministic) {
     SoakOptions so = quick_single();
-    so.fleet = true;
-    so.trains = 2;
-    so.base.bus_cycle = milliseconds(1024);
+    so.fleet.trains = 2;
+    so.fleet.train.bus_cycle = milliseconds(1024);
     so.horizon = seconds(1800);
     so.journey.day_length = seconds(900);
     so.journey.service_length = seconds(675);
@@ -74,6 +73,9 @@ TEST(SoakHarness, RejectsNonsenseOptions) {
     EXPECT_THROW(run_soak(so), std::invalid_argument);
     so = quick_single();
     so.horizon = Duration::zero();
+    EXPECT_THROW(run_soak(so), std::invalid_argument);
+    so = quick_single();
+    so.fleet.trains = 0;
     EXPECT_THROW(run_soak(so), std::invalid_argument);
 }
 

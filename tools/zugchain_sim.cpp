@@ -53,7 +53,8 @@
 // plateau at every boundary (src/journey). --journey SEED adds a seeded
 // multi-day journey (station bursts, tunnels, depot layovers, degraded
 // devices) plus compounded fault recipes compiled onto the fault
-// schedules. Works single-consist and with --fleet N:
+// schedules. Without --fleet N the soak runs one train; either way
+// --adversary lands on train 0 and --store-dir holds DIR/train-<t>:
 //
 //   zugchain_sim --soak H [--journey SEED] [--soak-segment-s S]
 //                [--soak-recipes N] [--soak-day-s S]
@@ -440,23 +441,38 @@ void write_text_file(const std::string& path, const std::string& content) {
     out.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
+/// The fleet::FleetConfig behind --fleet and --soak: `trains` shards on
+/// the CLI's per-train template, adversaries on train 0, per-train stores
+/// under --store-dir, the --trains-per-cell LTE share and the
+/// --export-period-s cadence.
+fleet::FleetConfig fleet_config(const Args& args, std::uint32_t trains) {
+    fleet::FleetConfig cfg;
+    cfg.trains = trains;
+    cfg.seed = args.cfg.seed;
+    cfg.train = args.cfg;
+    cfg.dc_count = args.fleet_dcs;
+    cfg.trains_per_cell = args.trains_per_cell;
+    cfg.export_period = millis_f(args.export_period_s * 1000.0);
+    cfg.duration = args.cfg.duration;
+    cfg.store_root = args.cfg.store_root;
+    for (const auto& [node, byz] : args.cfg.byzantine) cfg.byzantine[0][node] = byz;
+    return cfg;
+}
+
 /// Soak mode: simulated days in segments, invariants re-checked at every
-/// boundary (src/journey). The --json report is deterministic (no host
-/// data), so CI double-runs it and cmp's the bytes; --prof wall-clock
-/// stats go to stderr to keep stdout comparable.
+/// boundary (src/journey); without --fleet it soaks one train. The --json
+/// report is deterministic (no host data), so CI double-runs it and cmp's
+/// the bytes; --prof wall-clock stats go to stderr to keep stdout
+/// comparable.
 int run_soak_mode(const Args& args) {
     journey::SoakOptions so;
-    so.base = args.cfg;
-    so.fleet = args.fleet > 0;
-    so.trains = args.fleet > 0 ? args.fleet : 1;
-    so.dc_count = so.fleet ? args.fleet_dcs
-                           : (args.cfg.dc_count > 0 ? args.cfg.dc_count : 2);
-    so.horizon = millis_f(args.soak_hours * 3'600'000.0);
-    so.segment = millis_f(args.soak_segment_s * 1000.0);
+    so.fleet = fleet_config(args, args.fleet > 0 ? args.fleet : 1);
+    if (args.fleet == 0) so.fleet.dc_count = args.cfg.dc_count > 0 ? args.cfg.dc_count : 2;
     // A soak exports on a long-haul cadence by default; an explicit
     // --export-period-s still wins.
-    so.export_period =
-        args.export_period_set ? millis_f(args.export_period_s * 1000.0) : seconds(120);
+    if (!args.export_period_set) so.fleet.export_period = seconds(120);
+    so.horizon = millis_f(args.soak_hours * 3'600'000.0);
+    so.segment = millis_f(args.soak_segment_s * 1000.0);
     so.journey_seed = args.journey_seed;
     so.recipes = args.soak_recipes;
     so.journey.day_length = millis_f(args.soak_day_s * 1000.0);
@@ -483,15 +499,7 @@ int run_soak_mode(const Args& args) {
 /// output (--json) is byte-identical across same-seed runs so CI can cmp
 /// two invocations for the determinism gate.
 int run_fleet(const Args& args) {
-    fleet::FleetConfig cfg;
-    cfg.trains = args.fleet;
-    cfg.seed = args.cfg.seed;
-    cfg.train = args.cfg;
-    cfg.dc_count = args.fleet_dcs;
-    cfg.trains_per_cell = args.trains_per_cell;
-    cfg.export_period = millis_f(args.export_period_s * 1000.0);
-    cfg.duration = args.cfg.duration;
-    cfg.store_root = args.cfg.store_root;
+    fleet::FleetConfig cfg = fleet_config(args, args.fleet);
     cfg.audit = args.audit;
     cfg.audit_liveness = args.audit_liveness;
     if (args.fleet_chaos) {
@@ -500,9 +508,6 @@ int run_fleet(const Args& args) {
     }
     if (!args.gray.empty()) {
         fleet::apply(compile_gray_profile(args, cfg.trains, cfg.chaos), cfg);
-    }
-    for (const auto& [node, byz] : args.cfg.byzantine) {
-        cfg.byzantine[0][node] = byz;  // adversaries land on train 0
     }
 
     // One merged fleet trace: every shard is offset into its own pid band
@@ -694,9 +699,10 @@ int run(Args args) {
     if (args.prof) prof::Profiler::set_active(&profiler);
 
     if (args.soak_hours > 0) {
-        if (args.audit_liveness || !args.gray.empty()) {
-            std::fprintf(stderr,
-                         "warning: --audit-liveness/--gray are ignored in soak mode\n");
+        if (args.audit_liveness || !args.gray.empty() || !args.cfg.crash_schedule.empty() ||
+            !args.cfg.link_flaps.empty()) {
+            std::fprintf(stderr, "warning: --audit-liveness/--gray/--crash/--flap are ignored "
+                                 "in soak mode\n");
         }
         return run_soak_mode(args);
     }
