@@ -2,11 +2,9 @@
 
 #include <cstring>
 
-#include "crypto/sha256.hpp"
-
 namespace zc::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) noexcept {
+HmacKey::HmacKey(BytesView key) noexcept {
     constexpr std::size_t kBlock = 64;
     std::uint8_t k[kBlock] = {};
     if (key.size() > kBlock) {
@@ -21,14 +19,15 @@ Digest hmac_sha256(BytesView key, BytesView message) noexcept {
         ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
         opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
     }
-
-    Sha256 inner;
-    inner.update(ipad, kBlock).update(message);
-    const Digest inner_digest = inner.finalize();
-
-    Sha256 outer;
-    outer.update(opad, kBlock).update(inner_digest.data(), inner_digest.size());
-    return outer.finalize();
+    inner_.update(ipad, kBlock);
+    outer_.update(opad, kBlock);
 }
+
+Digest HmacKey::mac(BytesView message) const noexcept {
+    const Digest inner_digest = Sha256(inner_).update(message).finalize();
+    return Sha256(outer_).update(inner_digest.data(), inner_digest.size()).finalize();
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) noexcept { return HmacKey(key).mac(message); }
 
 }  // namespace zc::crypto

@@ -4,10 +4,17 @@
 #include <stdexcept>
 #include <string>
 
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace zc::crypto {
+
+namespace {
+
+BytesView seed_view(const std::array<std::uint8_t, 32>& seed) {
+    return BytesView{seed.data(), seed.size()};
+}
+
+}  // namespace
 
 KeyPair Ed25519Provider::generate(Rng& rng) { return ed25519::generate(rng); }
 
@@ -26,23 +33,18 @@ KeyPair FastProvider::generate(Rng& rng) {
 
     // Public key = SHA256(seed || "pub"): unforgeable link without exposing
     // the seed through the public key itself.
-    Bytes pub_input(kp.seed.begin(), kp.seed.end());
-    append(pub_input, to_bytes("pub"));
-    const Digest pub = sha256(pub_input);
+    const Digest pub = Sha256().update(kp.seed.data(), kp.seed.size()).update("pub", 3).finalize();
     std::memcpy(kp.pub.v.data(), pub.data(), pub.size());
 
-    registry_[kp.pub] = kp.seed;
+    registry_.insert_or_assign(kp.pub, Registered{kp.seed, HmacKey(seed_view(kp.seed))});
     return kp;
 }
 
-Signature FastProvider::compute(const std::array<std::uint8_t, 32>& seed,
-                                BytesView message) const {
-    const Digest mac = hmac_sha256(BytesView{seed.data(), seed.size()}, message);
+Signature FastProvider::compute(const HmacKey& key, BytesView message) {
+    const Digest mac = key.mac(message);
     // Second half binds a domain-separated copy so the signature is 64 bytes
     // like Ed25519 and on-wire sizes match exactly.
-    Bytes second_input(mac.begin(), mac.end());
-    append(second_input, to_bytes("ext"));
-    const Digest mac2 = sha256(second_input);
+    const Digest mac2 = Sha256().update(mac.data(), mac.size()).update("ext", 3).finalize();
 
     Signature sig;
     std::memcpy(sig.v.data(), mac.data(), 32);
@@ -51,13 +53,20 @@ Signature FastProvider::compute(const std::array<std::uint8_t, 32>& seed,
 }
 
 Signature FastProvider::sign(const KeyPair& key, BytesView message) {
-    return compute(key.seed, message);
+    // The cached midstates belong to the registered seed. A key pair that
+    // carries a registered public key with another seed signs with its own
+    // seed, so its signatures do not verify under that public key.
+    const auto it = registry_.find(key.pub);
+    if (it != registry_.end() && it->second.seed == key.seed) {
+        return compute(it->second.key, message);
+    }
+    return compute(HmacKey(seed_view(key.seed)), message);
 }
 
 bool FastProvider::verify(const PublicKey& pub, BytesView message, const Signature& sig) {
     const auto it = registry_.find(pub);
     if (it == registry_.end()) return false;
-    const Signature expected = compute(it->second, message);
+    const Signature expected = compute(it->second.key, message);
     return equal_ct(BytesView{expected.v.data(), expected.v.size()},
                     BytesView{sig.v.data(), sig.v.size()});
 }

@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/ed25519.hpp"
+#include "crypto/hmac.hpp"
 
 namespace zc::crypto {
 
@@ -58,10 +59,16 @@ public:
     const char* name() const noexcept override { return "fast-hmac"; }
 
 private:
-    Signature compute(const std::array<std::uint8_t, 32>& seed, BytesView message) const;
+    /// A generated key: its seed and the HMAC midstates derived from it.
+    struct Registered {
+        std::array<std::uint8_t, 32> seed;
+        HmacKey key;
+    };
 
-    // public key -> seed, so any party can "verify" in-process.
-    std::unordered_map<PublicKey, std::array<std::uint8_t, 32>, PublicKeyHash> registry_;
+    static Signature compute(const HmacKey& key, BytesView message);
+
+    // public key -> seed and midstates, so any party can "verify" in-process.
+    std::unordered_map<PublicKey, Registered, PublicKeyHash> registry_;
 };
 
 /// Instrumentation wrapper counting provider-level verify work: total

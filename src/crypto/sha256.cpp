@@ -3,6 +3,11 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define ZC_SHA256_HAVE_NI 1
+#endif
+
 namespace zc::crypto {
 
 namespace {
@@ -31,7 +36,124 @@ void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
     p[3] = static_cast<std::uint8_t>(v);
 }
 
+#ifdef ZC_SHA256_HAVE_NI
+// SHA-NI compression, after Intel's "SHA Extensions" white paper: the
+// state lives in two registers as ABEF / CDGH, each sha256rnds2 runs two
+// rounds, and sha256msg1/msg2 extend the message schedule four words at
+// a time.
+__attribute__((target("sha,sse4.1"))) void process_blocks_ni(std::uint32_t state[8],
+                                                              const std::uint8_t* data,
+                                                              std::size_t nblocks) noexcept {
+    const __m128i byteswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+    const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; nblocks > 0; --nblocks, data += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i w[4];
+        for (int i = 0; i < 4; ++i) {
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), byteswap);
+        }
+#pragma GCC unroll 16
+        for (int q = 0; q < 16; ++q) {
+            if (q >= 4) {
+                // W[4q..4q+3] from the four previous quads (w[q & 3] holds quad q-4).
+                const __m128i s = _mm_add_epi32(_mm_sha256msg1_epu32(w[q & 3], w[(q + 1) & 3]),
+                                                _mm_alignr_epi8(w[(q + 3) & 3], w[(q + 2) & 3], 4));
+                w[q & 3] = _mm_sha256msg2_epu32(s, w[(q + 3) & 3]);
+            }
+            const __m128i wk = _mm_add_epi32(
+                w[q & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * q])));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+void compress(std::uint32_t state[8], const std::uint8_t* data, std::size_t nblocks) noexcept {
+    // The compressor for this CPU, chosen on first use: a function-local
+    // static, so no other static initialiser can observe it unset.
+    static const detail::Compressor chosen = [] {
+        const detail::Compressor ni = detail::process_blocks_ni_if_supported();
+        return ni != nullptr ? ni : &detail::process_blocks_portable;
+    }();
+    detail::g_sha256_blocks.fetch_add(nblocks, std::memory_order_relaxed);
+    chosen(state, data, nblocks);
+}
+
 }  // namespace
+
+namespace detail {
+
+void process_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                             std::size_t nblocks) noexcept {
+    for (; nblocks > 0; --nblocks, data += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+            const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+Compressor process_blocks_ni_if_supported() noexcept {
+#ifdef ZC_SHA256_HAVE_NI
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+        return &process_blocks_ni;
+    }
+#endif
+    return nullptr;
+}
+
+}  // namespace detail
 
 Sha256::Sha256() noexcept {
     state_[0] = 0x6a09e667;
@@ -42,47 +164,6 @@ Sha256::Sha256() noexcept {
     state_[5] = 0x9b05688c;
     state_[6] = 0x1f83d9ab;
     state_[7] = 0x5be0cd19;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 =
-            std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 =
-            std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-        const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
 
 Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
@@ -96,14 +177,14 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
         p += take;
         len -= take;
         if (buffer_len_ == sizeof(buffer_)) {
-            process_block(buffer_);
+            compress(state_, buffer_, 1);
             buffer_len_ = 0;
         }
     }
-    while (len >= sizeof(buffer_)) {
-        process_block(p);
-        p += sizeof(buffer_);
-        len -= sizeof(buffer_);
+    if (const std::size_t blocks = len / sizeof(buffer_); blocks > 0) {
+        compress(state_, p, blocks);
+        p += blocks * sizeof(buffer_);
+        len -= blocks * sizeof(buffer_);
     }
     if (len > 0) {
         std::memcpy(buffer_, p, len);
@@ -115,14 +196,21 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
 Sha256& Sha256::update(BytesView data) noexcept { return update(data.data(), data.size()); }
 
 Digest Sha256::finalize() noexcept {
+    // Padding written in place: 0x80, zeroes up to byte 56 of the last
+    // block (spilling into a second block when fewer than 9 bytes are
+    // free), then the message length in bits, big-endian.
     const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0;
-    while (buffer_len_ != 56) update(&zero, 1);
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > 56) {
+        std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+        compress(state_, buffer_, 1);
+        buffer_len_ = 0;
+    }
+    std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    }
+    compress(state_, buffer_, 1);
 
     Digest out;
     for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);

@@ -168,17 +168,29 @@ void SafetyAuditor::check_data_center(const DataCenterView& dc, const ReplicaVie
 void SafetyAuditor::audit(const std::vector<ReplicaView>& replicas,
                           const std::vector<DataCenterView>& dcs) {
     report_.audits += 1;
+    const auto audited = [](const ReplicaView& r) {
+        return !r.compromised && r.alive && r.store != nullptr;
+    };
+    // The reference is the live replica with the highest head (the first
+    // on a tie). check_store proves each chain hash-linked, so a replica
+    // that agrees with the longest chain at its own head is a prefix of
+    // it, and no two replicas can fork above the reference unseen.
     const ReplicaView* ref = nullptr;
     for (const ReplicaView& r : replicas) {
-        if (r.compromised || !r.alive || r.store == nullptr) continue;
+        if (!audited(r)) continue;
+#ifdef ZC_BREAK_PREFIX
+        // Negative-test build: the first live replica, however short.
+        if (ref == nullptr) ref = &r;
+#else
+        if (ref == nullptr || r.store->head_height() > ref->store->head_height()) ref = &r;
+#endif
+    }
+    for (const ReplicaView& r : replicas) {
+        if (!audited(r)) continue;
         check_store(r.id, *r.store);
         check_origin_signatures(r);
         check_lost_inputs(r);
-        if (ref == nullptr) {
-            ref = &r;
-        } else {
-            check_prefix(r, *ref);
-        }
+        if (&r != ref) check_prefix(r, *ref);
     }
     for (const DataCenterView& dc : dcs) {
         if (dc.store == nullptr) continue;

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cinttypes>
 
+#include "crypto/sha256.hpp"  // header-only counter; no link dependency
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -54,7 +56,8 @@ std::uint64_t Profiler::steady_ns() noexcept {
             .count());
 }
 
-Profiler::Profiler(ClockFn clock) : clock_(clock != nullptr ? clock : &steady_ns) {
+Profiler::Profiler(ClockFn clock)
+    : clock_(clock != nullptr ? clock : &steady_ns), sha256_blocks_born_(crypto::sha256_blocks()) {
     born_ = clock_();
 }
 
@@ -115,6 +118,7 @@ Profiler::Snapshot Profiler::snapshot() const {
     snap.sim_wall_s = static_cast<double>(sim_wall_ns_) / 1e9;
     snap.sim_rate = sim_rate();
     snap.peak_rss = peak_rss_bytes();
+    snap.sha256_blocks = crypto::sha256_blocks() - sha256_blocks_born_;
     for (unsigned i = 0; i < kSubsystemCount; ++i) {
         Snapshot::Row& row = snap.rows[i];
         row.name = kSubsystemNames[i];
@@ -127,12 +131,13 @@ Profiler::Snapshot Profiler::snapshot() const {
 }
 
 std::string Profiler::Snapshot::json() const {
-    char buf[192];
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "{\"sim_rate\":%.3f,\"wall_s\":%.4f,\"sim_virtual_s\":%.4f,"
-                  "\"coverage_pct\":%.1f,\"peak_rss_bytes\":%" PRIu64 ",\"subsystems\":{",
+                  "\"coverage_pct\":%.1f,\"peak_rss_bytes\":%" PRIu64
+                  ",\"sha256_blocks\":%" PRIu64 ",\"subsystems\":{",
                   sim_rate, wall_s, sim_virtual_s,
-                  wall_s > 0 ? covered_s / wall_s * 100.0 : 0.0, peak_rss);
+                  wall_s > 0 ? covered_s / wall_s * 100.0 : 0.0, peak_rss, sha256_blocks);
     std::string out = buf;
     for (unsigned i = 0; i < kSubsystemCount; ++i) {
         std::snprintf(buf, sizeof buf,

@@ -115,18 +115,20 @@ public:
             double total_s = 0.0;
             std::uint64_t count = 0;
         };
-        double wall_s = 0.0;         ///< profiler construction -> snapshot
-        double covered_s = 0.0;      ///< sum of self_s over all rows
-        double sim_virtual_s = 0.0;  ///< virtual time advanced in run loops
-        double sim_wall_s = 0.0;     ///< host time inside run loops
-        double sim_rate = 0.0;       ///< sim_virtual_s / sim_wall_s
-        std::uint64_t peak_rss = 0;  ///< bytes
-        Row rows[kSubsystemCount];   ///< enum order
+        double wall_s = 0.0;              ///< profiler construction -> snapshot
+        double covered_s = 0.0;           ///< sum of self_s over all rows
+        double sim_virtual_s = 0.0;       ///< virtual time advanced in run loops
+        double sim_wall_s = 0.0;          ///< host time inside run loops
+        double sim_rate = 0.0;            ///< sim_virtual_s / sim_wall_s
+        std::uint64_t peak_rss = 0;       ///< bytes
+        std::uint64_t sha256_blocks = 0;  ///< SHA-256 compressions since construction
+        Row rows[kSubsystemCount];        ///< enum order
 
         /// Deterministically *shaped* JSON (fixed key order; the values
-        /// are host measurements and vary run to run):
+        /// are host measurements and vary run to run, except the exact
+        /// sha256_blocks work counter):
         ///   {"sim_rate":..,"wall_s":..,"sim_virtual_s":..,
-        ///    "coverage_pct":..,"peak_rss_bytes":..,
+        ///    "coverage_pct":..,"peak_rss_bytes":..,"sha256_blocks":..,
         ///    "subsystems":{"setup":{"self_s":..,"total_s":..,"count":..},..}}
         std::string json() const;
 
@@ -155,6 +157,7 @@ private:
 
     ClockFn clock_;
     std::uint64_t born_;
+    std::uint64_t sha256_blocks_born_;
     std::size_t depth_ = 0;
     std::uint64_t overflow_ = 0;
     Frame stack_[kMaxDepth];

@@ -69,5 +69,20 @@ TEST(FastProvider, UnknownKeyFailsVerification) {
     EXPECT_FALSE(other.verify(kp.pub, msg, sig));
 }
 
+TEST(FastProvider, RegisteredPublicKeyWithAnotherSeedDoesNotVerify) {
+    // The provider caches HMAC midstates per registered public key. A key
+    // pair carrying a registered public key but another seed must sign with
+    // its own seed, not borrow the registered one's.
+    FastProvider provider;
+    Rng rng(11);
+    const KeyPair honest = provider.generate(rng);
+    KeyPair forged = honest;
+    forged.seed[0] ^= 0x01;
+    const Bytes msg = to_bytes("telegram");
+
+    EXPECT_TRUE(provider.verify(honest.pub, msg, provider.sign(honest, msg)));
+    EXPECT_FALSE(provider.verify(honest.pub, msg, provider.sign(forged, msg)));
+}
+
 }  // namespace
 }  // namespace zc::crypto

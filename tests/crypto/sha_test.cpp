@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hex.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 
@@ -62,6 +63,75 @@ TEST(Sha256, PaddingBoundaries) {
         Sha256 split_hash;
         for (std::size_t i = 0; i < len; ++i) split_hash.update(&msg[i], 1);
         EXPECT_EQ(split_hash.finalize(), sha256(msg)) << "len " << len;
+    }
+}
+
+// Runs one compressor behind a reference FIPS 180-4 padding of the test's
+// own, so each compressor meets the vectors whichever one Sha256 uses.
+Digest digest_with(detail::Compressor compress, BytesView msg) {
+    Bytes padded(msg.begin(), msg.end());
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56) padded.push_back(0);
+    const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+    for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    compress(state, padded.data(), padded.size() / 64);
+    Digest out;
+    for (int i = 0; i < 32; ++i) {
+        out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+    }
+    return out;
+}
+
+void expect_fips_vectors(detail::Compressor compress) {
+    EXPECT_EQ(hex256(digest_with(compress, to_bytes(""))),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(hex256(digest_with(compress, to_bytes("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(hex256(digest_with(
+                  compress, to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(hex256(digest_with(compress, Bytes(1000000, 'a'))),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Compressors, PortableMatchesFipsVectors) {
+    expect_fips_vectors(&detail::process_blocks_portable);
+}
+
+TEST(Sha256Compressors, ShaNiMatchesFipsVectors) {
+    const detail::Compressor ni = detail::process_blocks_ni_if_supported();
+    if (ni == nullptr) GTEST_SKIP() << "CPU without SHA extensions";
+    expect_fips_vectors(ni);
+}
+
+TEST(Sha256Compressors, RandomMessagesAgreeAtEverySplit) {
+    const detail::Compressor ni = detail::process_blocks_ni_if_supported();
+    Rng rng(256);
+    for (std::size_t len = 0; len <= 300; ++len) {
+        const Bytes msg = rng.bytes(len);
+        const Digest want = digest_with(&detail::process_blocks_portable, msg);
+        if (ni != nullptr) {
+            ASSERT_EQ(digest_with(ni, msg), want) << "len " << len;
+        }
+        for (std::size_t split = 0; split <= len; ++split) {
+            Sha256 h;
+            h.update(BytesView{msg.data(), split});
+            h.update(BytesView{msg.data() + split, len - split});
+            ASSERT_EQ(h.finalize(), want) << "len " << len << " split " << split;
+        }
+    }
+}
+
+TEST(Sha256, BlocksCounterCountsEveryCompression) {
+    // Padding takes one block up to 55 bytes of tail and two from 56 on.
+    for (const auto& [len, blocks] : {std::pair<std::size_t, std::uint64_t>{0, 1},
+                                      {55, 1}, {56, 2}, {64, 2}, {119, 2}, {120, 3}}) {
+        const Bytes msg(len, 0x11);
+        const std::uint64_t before = sha256_blocks();
+        sha256(msg);
+        EXPECT_EQ(sha256_blocks() - before, blocks) << "len " << len;
     }
 }
 

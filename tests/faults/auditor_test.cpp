@@ -120,6 +120,23 @@ TEST_F(AuditorFixture, ForkDetectedAndDeduplicated) {
     EXPECT_EQ(auditor.report().violations[0].height, 2u);
 }
 
+TEST_F(AuditorFixture, ForkAboveShorterFirstReplicaDetected) {
+    // The first live replica stops at height 1; the other two fork at
+    // height 2. Each agrees with the first at height 1, so only comparing
+    // against the longest chain sees the fork.
+    chain::BlockStore shorter, a, b;
+    append_block(shorter, "same", 1);
+    append_block(a, "same", 1);
+    append_block(b, "same", 1);
+    append_block(a, "ours", 1);
+    append_block(b, "theirs", 1);
+    auditor.audit({view_of(0, shorter), view_of(1, a), view_of(2, b)}, {});
+    ASSERT_EQ(auditor.report().violations.size(), 1u);
+    EXPECT_EQ(auditor.report().violations[0].kind, ViolationKind::kChainFork);
+    EXPECT_EQ(auditor.report().violations[0].height, 2u);
+    EXPECT_EQ(auditor.report().violations[0].where, 2u);
+}
+
 TEST_F(AuditorFixture, CompromisedReplicaExemptFromChecks) {
     chain::BlockStore a, b;
     append_block(a, "same", 1);

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "crypto/sha256.hpp"
 #include "prof/prof.hpp"
 
 namespace zc::prof {
@@ -189,6 +190,7 @@ TEST_F(ProfTest, SnapshotJsonShape) {
     EXPECT_NE(json.find("\"subsystems\":{\"setup\":{\"self_s\":"), std::string::npos) << json;
     EXPECT_NE(json.find("\"crypto_sign\":{\"self_s\":0.0020"), std::string::npos) << json;
     EXPECT_NE(json.find("\"peak_rss_bytes\":"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"sha256_blocks\":"), std::string::npos) << json;
     EXPECT_EQ(json.back(), '}');
     // All twelve buckets present, in enum order.
     for (unsigned i = 0; i < kSubsystemCount; ++i) {
@@ -196,6 +198,15 @@ TEST_F(ProfTest, SnapshotJsonShape) {
                             "\":{"),
                   std::string::npos);
     }
+}
+
+TEST_F(ProfTest, SnapshotCountsSha256BlocksSinceConstruction) {
+    crypto::sha256(Bytes(100, 0x01));  // before the profiler: not counted
+    Profiler p(&fake_clock);
+    crypto::sha256(Bytes(100, 0x02));  // 100 B + padding = 2 blocks
+    crypto::sha256(Bytes(10, 0x03));   // 1 block
+    EXPECT_EQ(p.snapshot().sha256_blocks, 3u);
+    EXPECT_NE(p.snapshot().json().find("\"sha256_blocks\":3,"), std::string::npos);
 }
 
 TEST_F(ProfTest, PeakRssIsReportedOnLinux) {

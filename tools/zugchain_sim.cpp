@@ -22,7 +22,9 @@
 // --fixed-timeouts, --prof, --fail-on-alarm, --json and --trace (one
 // merged Perfetto/Chrome trace: train t node i in pid band
 // 1000*(t+1)+i, shared DCs at pid 100+d, including DC ingest-queue and
-// DC-to-DC sync spans), plus:
+// DC-to-DC sync spans), plus the options below. The single-consist
+// fault flags --crash, --flap and --crash-primary-at-s exit 2 with
+// --fleet: fleet faults come from --fleet-chaos and --gray.
 //
 //   zugchain_sim --fleet N [--fleet-dcs N] [--fleet-chaos]
 //                [--export-period-s S] [--trains-per-cell N]
@@ -706,7 +708,21 @@ int run(Args args) {
         }
         return run_soak_mode(args);
     }
-    if (args.fleet > 0) return run_fleet(args);
+    if (args.fleet > 0) {
+        // A fleet schedules its trains' faults from --fleet-chaos and
+        // --gray; refuse the single-consist fault flags rather than run
+        // without them.
+        const char* ignored = args.crash_primary_at_s > 0         ? "--crash-primary-at-s"
+                              : !args.cfg.crash_schedule.empty() ? "--crash"
+                              : !args.cfg.link_flaps.empty()     ? "--flap"
+                                                                 : nullptr;
+        if (ignored != nullptr) {
+            std::fprintf(stderr, "zugchain_sim: %s is not supported with --fleet (use "
+                                 "--fleet-chaos or --gray)\n", ignored);
+            return 2;
+        }
+        return run_fleet(args);
+    }
 
     // Tracing/metrics: one sink shared by all nodes and data centers.
     // Event capture is only needed for the Chrome trace; the metrics dump
